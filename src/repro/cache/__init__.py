@@ -8,19 +8,41 @@ the invalidation story, and measured cold/warm numbers.
 
 from __future__ import annotations
 
+import importlib
 import os
 from typing import Optional
 
-from repro.cache.store import (  # noqa: F401
-    CACHE_VERSION,
-    SubstrateStore,
-    corrupt_store_for_testing,
-)
-from repro.cache.substrate import SubstrateCache, CacheOutcome  # noqa: F401
-from repro.cache.memo import RefutationMemo  # noqa: F401
-
 #: environment variable naming the default cache directory
 CACHE_ENV = "REPRO_CACHE"
+
+#: the sqlite-backed store and what builds on it load on first access
+#: (module-level ``__getattr__``): a run without ``--cache`` needs none
+_LAZY_NAMES = {
+    "CACHE_VERSION": "store",
+    "SubstrateStore": "store",
+    "corrupt_store_for_testing": "store",
+    "SubstrateCache": "substrate",
+    "CacheOutcome": "substrate",
+    "RefutationMemo": "memo",
+}
+
+__all__ = [
+    "CACHE_ENV",
+    "CACHE_VERSION",
+    "CacheOutcome",
+    "RefutationMemo",
+    "SubstrateCache",
+    "SubstrateStore",
+    "cache_dir_from_env",
+    "corrupt_store_for_testing",
+]
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def cache_dir_from_env(explicit: Optional[str] = None) -> Optional[str]:

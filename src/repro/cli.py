@@ -126,9 +126,7 @@ def _options_from(args: argparse.Namespace) -> SierraOptions:
 
 
 def _history_path(args: argparse.Namespace) -> Optional[str]:
-    from repro.obs.history import history_path_from_env
-
-    return history_path_from_env(getattr(args, "history", None))
+    return obs.history_path_from_env(getattr(args, "history", None))
 
 
 class _TraceSession:

@@ -5,6 +5,8 @@ Two analysis phases, as in the paper's architecture (Figure 3):
 * **Phase A** — a context-insensitive whole-program analysis seeded by the
   harnesses. Its call graph identifies every action: event actions at
   harness sites, posted actions at ``post``/``thread``/``task`` edges.
+  The harness fixpoint's last round solves exactly this analysis, so a
+  fresh harness hands its solve over instead of it being solved twice.
 * **Phase C** — the precise analysis: the selected context abstraction
   (action-sensitive by default) re-analyses the program with every action
   entry pinned to its action id, so heap abstractions never merge across
@@ -112,6 +114,8 @@ class ActionExtractor:
             if self.phase_a_seed is not None:
                 analysis, invalidated = self.phase_a_seed
                 phase_a = analysis.resume(invalidated)
+            elif self._reuses_harness_solve():
+                analysis, phase_a = self.harness.final_solve
             else:
                 analysis = PointerAnalysis(
                     self.apk.program,
@@ -149,6 +153,17 @@ class ActionExtractor:
         with obs.span("extract.affinity"):
             self._compute_affinity(ext, result)
         return ext
+
+    def _reuses_harness_solve(self) -> bool:
+        """Is the harness's final solve this extraction's phase A? Only
+        for the apk it was solved on and the configuration the harness
+        solves with: the worklist solver without index-sensitive arrays."""
+        return (
+            self.harness.final_solve is not None
+            and self.harness.apk is self.apk
+            and self.solver == "worklist"
+            and not self.index_sensitive_arrays
+        )
 
     # ------------------------------------------------------------------
     def _new_action(

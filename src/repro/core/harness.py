@@ -61,6 +61,21 @@ class HarnessModel:
     sites: List[HarnessSite] = field(default_factory=list)
     dispatch_table: Dict[str, EventDispatch] = field(default_factory=dict)
     fixpoint_rounds: int = 0
+    #: ``(analysis, result)`` of the fixpoint round that found no new
+    #: registrations: the context-insensitive solve extraction phase A
+    #: would repeat on the same program, entries, layouts and dispatch
+    #: table. None when the fixpoint stopped at MAX_ROUNDS (its last solve
+    #: predates the final emission) and after unpickling — the substrate
+    #: bundle already carries this solve inside the extraction.
+    final_solve: Optional[Tuple[PointerAnalysis, PointsToResult]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __getstate__(self):
+        # unpickled models fall back to the class default (None)
+        state = dict(self.__dict__)
+        state.pop("final_solve", None)
+        return state
 
     @property
     def entries(self) -> List[Entry]:
@@ -107,22 +122,20 @@ class HarnessGenerator:
         model = self._emit_all(registrations, reg_activities)
         for round_no in range(1, self.MAX_ROUNDS + 1):
             model.fixpoint_rounds = round_no
-            result = self._run_phase_a(model)
+            analysis = PointerAnalysis(
+                self.program,
+                model.entries,
+                selector=InsensitiveSelector(),
+                layouts=self.apk.layouts,
+                dispatch_table=model.dispatch_table,
+            )
+            result = analysis.solve()
             new = self._discover_registrations(result, model, registrations, reg_activities)
             if not new:
+                model.final_solve = (analysis, result)
                 break
             model = self._emit_all(registrations, reg_activities)
         return model
-
-    def _run_phase_a(self, model: HarnessModel) -> PointsToResult:
-        analysis = PointerAnalysis(
-            self.program,
-            model.entries,
-            selector=InsensitiveSelector(),
-            layouts=self.apk.layouts,
-            dispatch_table=model.dispatch_table,
-        )
-        return analysis.solve()
 
     def _discover_registrations(
         self,

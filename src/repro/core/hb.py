@@ -119,11 +119,24 @@ class SHBG:
         return counts
 
     # -- provenance queries (repro explain / report provenance blocks) --
-    def _direct_successors(self) -> Dict[int, List[HBEdge]]:
-        adjacency: Dict[int, List[HBEdge]] = {}
-        for edge in self.direct_edges:
-            adjacency.setdefault(edge.src, []).append(edge)
-        return adjacency
+    # They read the closure's bit-rows (row_before/row_after/members), so
+    # they need the default bitset TransitiveClosure.
+    def _successors(self) -> Dict[int, List[HBEdge]]:
+        """Direct edges by source, in derivation order. Built on first use
+        and shared by every later query (rebuilt only if edges were added
+        since); never pickled."""
+        cached = self.__dict__.get("_succ_index")
+        if cached is None or cached[0] != len(self.direct_edges):
+            adjacency: Dict[int, List[HBEdge]] = {}
+            for edge in self.direct_edges:
+                adjacency.setdefault(edge.src, []).append(edge)
+            cached = self._succ_index = (len(self.direct_edges), adjacency)
+        return cached[1]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_succ_index", None)
+        return state
 
     def rule_path(self, src: int, dst: int) -> Optional[List[HBEdge]]:
         """A shortest rule-labeled derivation of ``src ≺ dst`` over the
@@ -135,7 +148,12 @@ class SHBG:
         """
         if src == dst or not self.ordered(src, dst):
             return None
-        adjacency = self._direct_successors()
+        adjacency = self._successors()
+        # every closure bit comes from direct edges, so only actions
+        # ordered before dst lie on a path to it; the BFS skips the rest,
+        # which cannot change the order it discovers the others in
+        index_of = self.closure.index_of
+        towards = self.closure.row_before(dst)
         frontier = [src]
         came_from: Dict[int, HBEdge] = {}
         seen = {src}
@@ -145,41 +163,39 @@ class SHBG:
                 for edge in adjacency.get(node, ()):
                     if edge.dst in seen:
                         continue
-                    seen.add(edge.dst)
-                    came_from[edge.dst] = edge
                     if edge.dst == dst:
-                        path: List[HBEdge] = []
-                        cursor = dst
+                        path = [edge]
+                        cursor = node
                         while cursor != src:
                             step = came_from[cursor]
                             path.append(step)
                             cursor = step.src
                         path.reverse()
                         return path
+                    if not (towards >> index_of(edge.dst)) & 1:
+                        continue
+                    seen.add(edge.dst)
+                    came_from[edge.dst] = edge
                     nxt.append(edge.dst)
             frontier = nxt
         return None  # ordered transitively but not derivable: should not happen
 
+    def _common_row(self, a: int, b: int) -> int:
+        closure = self.closure
+        return closure.row_before(a) & closure.row_before(b)
+
     def common_ancestors(self, a: int, b: int) -> List[int]:
         """Actions ordered before *both* a and b (the candidate fork points
         an unordered pair diverged from), in action-id order."""
-        return [
-            action.id
-            for action in self.actions
-            if self.ordered(action.id, a) and self.ordered(action.id, b)
-        ]
+        return self.closure.members(self._common_row(a, b))
 
     def fork_points(self, a: int, b: int) -> List[int]:
         """The *latest* common ancestors of a and b: common ancestors with
         no other common ancestor ordered after them. For a racy pair these
         are where control provably diverged without ever re-ordering."""
-        ancestors = self.common_ancestors(a, b)
-        pool = set(ancestors)
-        return [
-            c
-            for c in ancestors
-            if not any(self.ordered(c, other) for other in pool if other != c)
-        ]
+        common = self._common_row(a, b)
+        row_after = self.closure.row_after
+        return [c for c in self.closure.members(common) if not row_after(c) & common]
 
 
 class HBBuilder:

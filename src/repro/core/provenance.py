@@ -26,8 +26,9 @@ data as a human-readable evidence tree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.extract import Extraction
 from repro.core.hb import HBEdge, SHBG
@@ -105,18 +106,46 @@ def _capped(items: List, cap: int = MAX_LIST) -> Dict[str, object]:
     return out
 
 
+class _EvidenceIndex:
+    """Per-run lookups built once for every report of a run: the HB rules
+    incident to each action, and the refuted candidates by field and by
+    action (positions into the refutation results, ascending)."""
+
+    def __init__(self, shbg: SHBG, results: List[RefutationResult]) -> None:
+        self.results = results
+        self.incident: Dict[int, Dict[str, int]] = {}
+        for edge in shbg.direct_edges:
+            for end in (edge.src, edge.dst):
+                counts = self.incident.setdefault(end, {})
+                counts[edge.rule] = counts.get(edge.rule, 0) + 1
+        self.refuted_by_field: Dict[str, List[int]] = {}
+        self.refuted_by_action: Dict[int, List[int]] = {}
+        for position, result in enumerate(results):
+            if result.is_race:
+                continue
+            self.refuted_by_field.setdefault(result.pair.field_name, []).append(position)
+            for action_id in set(result.pair.actions):
+                self.refuted_by_action.setdefault(action_id, []).append(position)
+
+    def incident_rules(self, action_id: int) -> Dict[str, int]:
+        """Rules that produced direct edges touching this action."""
+        return dict(sorted(self.incident.get(action_id, {}).items()))
+
+    def related_refuted(self, pair: RacyPair) -> Iterator[RefutationResult]:
+        """Refuted candidates on the pair's field or sharing one of its
+        actions, in refutation-result order."""
+        lists = [self.refuted_by_field.get(pair.field_name, [])]
+        lists += [self.refuted_by_action.get(a, []) for a in set(pair.actions)]
+        last = -1
+        for position in heapq.merge(*lists):
+            if position != last:
+                last = position
+                yield self.results[position]
+
+
 # ----------------------------------------------------------------------
 # pillar 1: happens-before evidence
 # ----------------------------------------------------------------------
-def _incident_rules(shbg: SHBG, action_id: int) -> Dict[str, int]:
-    """Rules that produced direct edges touching this action."""
-    counts: Dict[str, int] = {}
-    for edge in shbg.direct_edges:
-        if edge.src == action_id or edge.dst == action_id:
-            counts[edge.rule] = counts.get(edge.rule, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def _rule6_gap(
     extraction: Extraction, shbg: SHBG, a_id: int, b_id: int
 ) -> Optional[Dict[str, object]]:
@@ -149,7 +178,9 @@ def _rule6_gap(
     }
 
 
-def _hb_evidence(extraction: Extraction, shbg: SHBG, pair: RacyPair) -> Dict[str, object]:
+def _hb_evidence(
+    extraction: Extraction, shbg: SHBG, pair: RacyPair, index: _EvidenceIndex
+) -> Dict[str, object]:
     a_id, b_id = pair.actions
     a, b = extraction.by_id(a_id), extraction.by_id(b_id)
     forks = shbg.fork_points(a_id, b_id)
@@ -167,11 +198,11 @@ def _hb_evidence(extraction: Extraction, shbg: SHBG, pair: RacyPair) -> Dict[str
         "actions": {
             str(a_id): {
                 "describe": a.describe(),
-                "incident_rules": _incident_rules(shbg, a_id),
+                "incident_rules": index.incident_rules(a_id),
             },
             str(b_id): {
                 "describe": b.describe(),
-                "incident_rules": _incident_rules(shbg, b_id),
+                "incident_rules": index.incident_rules(b_id),
             },
         },
         "fork_points": forks[:MAX_LIST],
@@ -230,20 +261,12 @@ def _refutation_evidence(result: Optional[RefutationResult]) -> Dict[str, object
     }
 
 
-def _sibling_evidence(
-    pair: RacyPair, all_results: List[RefutationResult]
-) -> List[Dict[str, object]]:
+def _sibling_evidence(pair: RacyPair, index: _EvidenceIndex) -> List[Dict[str, object]]:
     """Refuted candidates related to this pair (same field, or sharing an
     action): the refutations that vouch for the detector's selectivity."""
     siblings: List[Dict[str, object]] = []
-    pair_actions = set(pair.actions)
-    for result in all_results:
-        if result.is_race or result.pair is pair:
-            continue
-        related = result.pair.field_name == pair.field_name or bool(
-            set(result.pair.actions) & pair_actions
-        )
-        if not related:
+    for result in index.related_refuted(pair):
+        if result.pair is pair:
             continue
         siblings.append(
             {
@@ -267,13 +290,20 @@ def build_provenance(
     shbg: SHBG,
     result: Optional[RefutationResult] = None,
     all_results: Optional[List[RefutationResult]] = None,
+    index: Optional[_EvidenceIndex] = None,
 ) -> RaceProvenance:
-    """Assemble the three-pillar evidence bundle for one racy pair."""
+    """Assemble the three-pillar evidence bundle for one racy pair.
+
+    ``index`` is the run's :class:`_EvidenceIndex` over ``shbg`` and
+    ``all_results``; :func:`attach_provenance` builds it once for all
+    reports, a lone call builds its own."""
+    if index is None:
+        index = _EvidenceIndex(shbg, all_results or [])
     return RaceProvenance(
-        hb=_hb_evidence(extraction, shbg, pair),
+        hb=_hb_evidence(extraction, shbg, pair, index),
         aliasing=_aliasing_evidence(pair),
         refutation=_refutation_evidence(result),
-        refuted_siblings=_sibling_evidence(pair, all_results or []),
+        refuted_siblings=_sibling_evidence(pair, index),
     )
 
 
@@ -287,13 +317,14 @@ def attach_provenance(
     by_pair: Dict[int, RefutationResult] = {}
     if results:
         by_pair = {id(r.pair): r for r in results}
+    index = _EvidenceIndex(shbg, results or [])
     for report in reports:
         report.provenance = build_provenance(
             report.pair,
             extraction,
             shbg,
             result=by_pair.get(id(report.pair)),
-            all_results=results or [],
+            index=index,
         )
 
 

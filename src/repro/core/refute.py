@@ -24,8 +24,6 @@ prune early.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -443,6 +441,10 @@ def _refute_parallel(
     worker crash raises :class:`WorkerPoolError` carrying the worker-side
     traceback so the caller can retry once and then degrade loudly.
     """
+    # only this path forks: a serial run never imports the pool machinery
+    import concurrent.futures
+    import multiprocessing
+
     global _FORK_JOB
     try:
         mp_context = multiprocessing.get_context("fork")

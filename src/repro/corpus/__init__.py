@@ -1,5 +1,12 @@
 """App corpus: figure apps, the 20-app Table 2/3 stand-ins, and the
-174-app F-Droid-style population — all synthetic and seed-stable."""
+174-app F-Droid-style population — all synthetic and seed-stable.
+
+The batch driver, its sharded scheduler and the seeded family generator
+load on first access (module-level ``__getattr__``): analysing one app
+needs none of them.
+"""
+
+import importlib
 
 from repro.corpus.apps import (
     build_newsreader_app,
@@ -7,32 +14,12 @@ from repro.corpus.apps import (
     build_quickstart_app,
     build_receiver_app,
 )
-from repro.corpus.driver import (
-    AppRunRecord,
-    DEFAULT_TIMEOUT_S,
-    RunReport,
-    default_corpus,
-    run_corpus,
-)
-from repro.corpus.families import (
-    FAMILY_NAMES,
-    aggregate_scores,
-    corpus_manifest,
-    estimate_cost,
-    family_spec,
-    is_family_name,
-    parse_family_name,
-    score_detection,
-    seeded_corpus,
-    synthesize_family_app,
-)
 from repro.corpus.fdroid import (
     FDROID_APP_COUNT,
     fdroid_spec,
     fdroid_specs,
     generate_fdroid_corpus,
 )
-from repro.corpus.scheduler import ProgressLine, WorkItem, WorkPlan, core_budget
 from repro.corpus.specs import (
     FDROID_PAPER_MEDIANS,
     PaperAppRow,
@@ -53,6 +40,38 @@ from repro.corpus.synth import (
     classify_report_field,
     synthesize_app,
 )
+
+#: lazily imported name -> the submodule that defines it
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        ("AppRunRecord", "DEFAULT_TIMEOUT_S", "RunReport", "default_corpus", "run_corpus"),
+        "driver",
+    ),
+    **dict.fromkeys(
+        (
+            "FAMILY_NAMES",
+            "aggregate_scores",
+            "corpus_manifest",
+            "estimate_cost",
+            "family_spec",
+            "is_family_name",
+            "parse_family_name",
+            "score_detection",
+            "seeded_corpus",
+            "synthesize_family_app",
+        ),
+        "families",
+    ),
+    **dict.fromkeys(("ProgressLine", "WorkItem", "WorkPlan", "core_budget"), "scheduler"),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AppRunRecord",

@@ -25,7 +25,9 @@ has never been tested.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import importlib
 import logging
 import multiprocessing
 import os
@@ -56,6 +58,27 @@ DEFAULT_TIMEOUT_S = 120.0
 
 #: seconds a terminated worker gets to die before escalating to SIGKILL
 _TERMINATE_GRACE_S = 5.0
+
+#: what an analysis child (``_execute_app``) imports on demand
+_FORK_PRELOAD = (
+    "repro.cli",
+    "repro.perf",
+    "repro.obs.history",
+    "repro.cache.store",
+    "repro.cache.substrate",
+    "repro.cache.memo",
+)
+
+
+def preload_for_fork() -> None:
+    """Import, before the first fork, what analysis children would import
+    on demand. Every process that forks them calls this (the fork-per-app
+    path below, the shard pool, the serve daemon): the children inherit
+    the modules instead of each importing them again, and none can inherit
+    a module import lock that another thread of the parent held at
+    ``fork()``."""
+    for name in _FORK_PRELOAD:
+        importlib.import_module(name)
 
 
 def default_corpus() -> List[str]:
@@ -328,7 +351,14 @@ def _run_one_isolated(
     inject_fail: bool,
     inject_hang_s: float,
     inject_cache_corrupt: bool = False,
+    fork_guard=None,
 ) -> AppRunRecord:
+    """Run one app in a forked worker under ``timeout_s``.
+
+    ``fork_guard``, when given, is a context manager held across the fork
+    itself: a caller whose other threads make sqlite calls uses it to keep
+    them out of sqlite at that moment (see the serve ``WorkerPool``)."""
+    preload_for_fork()
     recv_conn, send_conn = mp_context.Pipe(duplex=False)
     # NOT daemonic: a daemonic worker cannot fork the refutation pool, which
     # would silently cost every isolated app its --parallelism. Cleanup is
@@ -345,7 +375,8 @@ def _run_one_isolated(
         ),
     )
     t0 = time.perf_counter()
-    proc.start()
+    with fork_guard if fork_guard is not None else contextlib.nullcontext():
+        proc.start()
     send_conn.close()  # parent's copy: the pipe must EOF when the worker dies
 
     payload: Optional[Dict[str, object]] = None

@@ -299,6 +299,7 @@ def run_sharded(
         AppRunRecord,
         _record_kwargs,
         _stuck_stage,
+        preload_for_fork,
     )
 
     shards = max(1, min(int(shards), max(1, len(items))))
@@ -315,6 +316,7 @@ def run_sharded(
     busy_gauge.set(0)
 
     pool: List[_Shard] = [_Shard(index=i) for i in range(shards)]
+    preload_for_fork()
 
     def spawn(shard: _Shard) -> None:
         parent_conn, child_conn = mp_context.Pipe(duplex=True)

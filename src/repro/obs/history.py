@@ -38,7 +38,6 @@ code 2 — malformed history must never look like "no regressions".
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import threading
 import uuid
@@ -47,6 +46,10 @@ from datetime import datetime, timezone
 from hashlib import sha256
 from typing import Dict, List, Optional, Sequence
 
+# the --history / $REPRO_HISTORY resolution lives in the package, so the
+# CLI can read it without importing this sqlite-backed module
+from repro.obs import HISTORY_ENV, history_path_from_env  # noqa: F401
+
 #: layout version stamped on every run row this code writes
 LEDGER_SCHEMA = 1
 
@@ -54,9 +57,6 @@ LEDGER_SCHEMA = 1
 #: enough to ride out another writer's whole transaction, short enough
 #: that a wedged holder still surfaces as an error rather than a hang
 LEDGER_BUSY_TIMEOUT_S = 5.0
-
-#: environment fallback for the ledger path (--history wins)
-HISTORY_ENV = "REPRO_HISTORY"
 
 #: app name of the aggregate row a batch run writes alongside per-app rows
 AGGREGATE_APP = "*"
@@ -107,13 +107,6 @@ def connect_ledger(
 
 class LedgerError(Exception):
     """The ledger file is unusable (corrupt db, wrong schema, bad ref)."""
-
-
-def history_path_from_env(explicit: Optional[str] = None) -> Optional[str]:
-    """Resolve the ledger path: explicit flag first, then ``REPRO_HISTORY``."""
-    if explicit:
-        return explicit
-    return os.environ.get(HISTORY_ENV) or None
 
 
 def options_digest(options: Dict[str, object]) -> str:
@@ -269,6 +262,13 @@ class RunLedger:
                 self._db.execute("COMMIT")
             finally:
                 self._batch_depth = 0
+
+    @contextmanager
+    def quiesced(self):
+        """Keep every other thread out of this connection's sqlite calls
+        for the block (they all run under this lock)."""
+        with self._lock:
+            yield
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

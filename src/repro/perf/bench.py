@@ -102,6 +102,11 @@ def collect_counters(result=None) -> Dict[str, int]:
 def _bench_app_result(name: str, options: Optional[SierraOptions] = None):
     """One pipeline run: (BENCH record, full SierraResult)."""
     apk = _load_app(name)
+    # start every app from a collected heap: where its own allocations then
+    # trigger full collections (a 0.1 s pause on K-9) no longer depends on
+    # what ran before it, so two bench runs time the same pauses in the
+    # same stages
+    gc.collect()
     result = Sierra(options or SierraOptions()).analyze(apk)
     report = result.report
     record = {

@@ -154,6 +154,13 @@ class JobStore:
             else:
                 self._db.execute("COMMIT")
 
+    @contextmanager
+    def quiesced(self):
+        """Keep every other thread out of this connection's sqlite calls
+        for the block (they all run under this lock)."""
+        with self._lock:
+            yield
+
     def close(self) -> None:
         with self._lock:
             self._db.close()

@@ -28,6 +28,7 @@ import logging
 import multiprocessing
 import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, Optional
 
 from repro.core import SierraOptions
@@ -136,6 +137,11 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
+        if self.isolated:
+            # before any worker thread exists: jobs fork from those threads
+            from repro.corpus.driver import preload_for_fork
+
+            preload_for_fork()
         for i in range(self.workers):
             thread = threading.Thread(
                 target=self._loop, args=(f"worker-{i}",), daemon=True,
@@ -230,6 +236,17 @@ class WorkerPool:
             finally:
                 self._beat(worker_name, busy=False)
 
+    @contextmanager
+    def _sqlite_quiesced(self):
+        """Held across each job's fork. sqlite's process-wide mutexes are
+        copied into the child as they stand, so a fork while another
+        daemon thread is inside a ledger or job-store call can leave one
+        locked forever; the child then hangs on its own first sqlite call
+        (the substrate cache's metadata db). Every daemon-side sqlite call
+        runs under one of these two locks."""
+        with self.store.quiesced(), self.ledger.quiesced():
+            yield
+
     def _run_job(self, job: Job, worker_name: str) -> None:
         from repro.corpus.driver import _run_one_inline, _run_one_isolated
 
@@ -251,6 +268,7 @@ class WorkerPool:
                     self.job_timeout_s,
                     inject_fail,
                     inject_hang_s,
+                    fork_guard=self._sqlite_quiesced(),
                 )
             else:
                 with self._inline_lock:

@@ -317,22 +317,21 @@ class TransitiveClosure(Generic[N]):
             return False
         return (((self._after[ia] >> ib) | (self._after[ib] >> ia)) & 1) == 1
 
-    def _decode(self, mask: int) -> Set[N]:
+    def members(self, mask: int) -> List[N]:
+        """The nodes of a bit-row mask, in index (insertion) order."""
         nodes = self._node_list
-        out: Set[N] = set()
+        out: List[N] = []
         while mask:
             low = mask & -mask
             mask ^= low
-            out.add(nodes[low.bit_length() - 1])
+            out.append(nodes[low.bit_length() - 1])
         return out
 
     def successors(self, node: N) -> Set[N]:
-        idx = self._index.get(node)
-        return self._decode(self._after[idx]) if idx is not None else set()
+        return set(self.members(self.row_after(node)))
 
     def predecessors(self, node: N) -> Set[N]:
-        idx = self._index.get(node)
-        return self._decode(self._before[idx]) if idx is not None else set()
+        return set(self.members(self.row_before(node)))
 
     def direct_edges(self) -> Set[Tuple[N, N]]:
         """Edges inserted explicitly (not derived by transitivity)."""

@@ -132,3 +132,87 @@ class TestWithoutActionSensitivity:
         for a in ext.actions:
             assert a.members, a
             assert all(mc.action_id() is None for mc in a.members)
+
+
+class TestPhaseAReuse:
+    """The harness fixpoint's last round solves the same context-insensitive
+    analysis phase A needs; extraction takes it over instead of solving
+    again, except where phase A is configured differently."""
+
+    @staticmethod
+    def _signature(ext):
+        return [
+            (a.id, a.kind, a.label, sorted(a.parents), a.instance, a.component,
+             [m.signature for m in a.member_methods])
+            for a in ext.actions
+        ]
+
+    def test_fresh_harness_hands_over_its_final_solve(self):
+        from repro.corpus import build_receiver_app
+
+        apk = build_receiver_app()
+        harness = generate_harnesses(apk)
+        assert harness.fixpoint_rounds >= 2  # a listener registration
+        analysis, result = harness.final_solve
+        ext = extract_actions(apk, harness)
+        assert ext.phase_a is result
+        assert ext.phase_a_analysis is analysis
+
+    def test_analyze_saves_exactly_the_final_solve(self, monkeypatch):
+        from repro.core import Sierra, SierraOptions
+        from repro.core.extract import ActionExtractor
+        from repro.corpus import build_opensudoku_app
+        from repro.obs import metrics
+
+        def run():
+            result = Sierra(SierraOptions()).analyze(build_opensudoku_app())
+            iterations = metrics.registry().value("pointsto.worklist_iterations")
+            report = result.report.to_dict()
+            report.pop("timings_seconds")
+            return result, iterations, report
+
+        reused, reused_iterations, reused_report = run()
+        saved = reused.harness.final_solve[0].worklist_iterations
+        assert saved > 0
+        monkeypatch.setattr(ActionExtractor, "_reuses_harness_solve", lambda self: False)
+        _, cold_iterations, cold_report = run()
+        assert cold_iterations - reused_iterations == saved
+        assert cold_report == reused_report
+
+    def test_other_phase_a_configurations_solve_their_own(self):
+        from repro.corpus import build_newsreader_app
+
+        apk = build_newsreader_app()
+        harness = generate_harnesses(apk)
+        reused = extract_actions(apk, harness)
+        for kwargs in ({"index_sensitive_arrays": True}, {"solver": "passes"}):
+            own = extract_actions(apk, harness, **kwargs)
+            assert own.phase_a is not harness.final_solve[1]
+            assert self._signature(own) == self._signature(reused)
+
+    def test_capped_fixpoint_offers_nothing_to_reuse(self, monkeypatch):
+        from repro.core.harness import HarnessGenerator
+        from repro.corpus import build_receiver_app
+
+        monkeypatch.setattr(HarnessGenerator, "MAX_ROUNDS", 1)
+        apk = build_receiver_app()
+        harness = generate_harnesses(apk)
+        assert harness.final_solve is None  # round 1 found a registration
+        ext = extract_actions(apk, harness)
+        assert ext.phase_a is not None and ext.actions
+
+    def test_pickled_harness_carries_no_solve(self):
+        import pickle
+
+        from repro.corpus import build_receiver_app
+
+        harness = generate_harnesses(build_receiver_app())
+        solve = harness.final_solve
+        assert solve is not None
+        blob = pickle.dumps(harness)
+        assert pickle.loads(blob).final_solve is None
+        harness.final_solve = None
+        try:
+            assert pickle.dumps(harness) == blob  # not a byte more
+        finally:
+            harness.final_solve = solve

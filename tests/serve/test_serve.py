@@ -214,6 +214,37 @@ def test_daemon_recovers_orphaned_jobs(tmp_path):
         assert final["status"] == DONE
 
 
+def test_jobs_fork_with_daemon_sqlite_quiesced(tmp_path, monkeypatch):
+    """sqlite's process-wide mutexes are copied into a forked child as they
+    stand: a job forked while another daemon thread is inside a ledger or
+    job-store call can hang on the child's first sqlite call. At the
+    moment each job forks, no other thread may be able to enter either."""
+    import os
+
+    blocked = []
+    real_fork = os.fork
+
+    def probe():
+        if not blocked:
+            for conn in (running.store, running.ledger):
+                def enter(conn=conn):
+                    with conn.quiesced():
+                        pass
+
+                other = threading.Thread(target=enter, daemon=True)
+                other.start()
+                other.join(0.2)
+                blocked.append(other.is_alive())
+        return real_fork()
+
+    with ServeDaemon(str(tmp_path / "runs.sqlite"), workers=1, port=0) as running:
+        monkeypatch.setattr(os, "fork", probe)
+        job = ServeClient(running.url).submit("quickstart")
+        final = ServeClient(running.url).wait(str(job["job_id"]), timeout_s=120)
+    assert final["status"] == DONE
+    assert blocked == [True, True]
+
+
 # ----------------------------------------------------------------------
 # job store unit tests
 # ----------------------------------------------------------------------
