@@ -5,9 +5,11 @@ apps must survive individual apps that crash the analysis, hang, or blow
 their path budget. This driver runs the full detector pipeline over every
 corpus app with **per-app fault isolation**:
 
-* each app runs in its own forked worker process under a wall-clock
-  timeout; a hung app is killed and recorded as ``timeout``, a crashed
-  one as ``error`` with the full traceback — the batch always continues;
+* each app runs in a forked worker process under a wall-clock timeout
+  (one of the scheduler's persistent shards, re-forked only after a kill
+  or a death); a hung app is killed and recorded as ``timeout``, a
+  crashed one as ``error`` with the full traceback — the batch always
+  continues;
 * the per-app :class:`repro.obs.Recorder` captures the detector's stage
   events, warnings, and degradation signals (e.g. the refutation pool
   falling back to serial) and ships them back to the parent;
@@ -25,12 +27,9 @@ has never been tested.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import importlib
 import logging
 import multiprocessing
-import os
 import platform
 import sys
 import time
@@ -55,31 +54,6 @@ STATUS_TIMEOUT = "timeout"
 #: generous per-app wall-clock budget: the largest synthetic app analyzes in
 #: under a second, so anything near this is a hang, not a slow app
 DEFAULT_TIMEOUT_S = 120.0
-
-#: seconds a terminated worker gets to die before escalating to SIGKILL
-_TERMINATE_GRACE_S = 5.0
-
-#: what an analysis child (``_execute_app``) imports on demand
-_FORK_PRELOAD = (
-    "repro.cli",
-    "repro.perf",
-    "repro.obs.history",
-    "repro.cache.store",
-    "repro.cache.substrate",
-    "repro.cache.memo",
-)
-
-
-def preload_for_fork() -> None:
-    """Import, before the first fork, what analysis children would import
-    on demand. Every process that forks them calls this (the fork-per-app
-    path below, the shard pool, the serve daemon): the children inherit
-    the modules instead of each importing them again, and none can inherit
-    a module import lock that another thread of the parent held at
-    ``fork()``."""
-    for name in _FORK_PRELOAD:
-        importlib.import_module(name)
-
 
 def default_corpus() -> List[str]:
     """The full batch corpus: the figure apps plus all 20 Table 2 apps."""
@@ -275,187 +249,6 @@ def _error_payload(exc: BaseException) -> Dict[str, object]:
             "traceback": traceback.format_exc(),
         },
     }
-
-
-class _PipeStreamer:
-    """An obs hook that streams events through the result pipe as they
-    happen, so a worker killed on timeout still leaves its partial event
-    trail in RUN_report.json (showing *where* it was stuck).
-
-    Pid-guarded: the refutation pool's grandchildren inherit the hook
-    across ``fork`` but must never write — ``Connection.send`` is not safe
-    for concurrent writers. Their spans come back through the chunk
-    results and are re-emitted in this process, where the guard passes.
-    """
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self.pid = os.getpid()
-
-    def __call__(self, event: obs.RunEvent) -> None:
-        if os.getpid() != self.pid:
-            return
-        try:
-            self.conn.send(("event", event.to_dict()))
-        except (BrokenPipeError, OSError):
-            pass  # parent gone; the worker is about to die anyway
-
-
-def _run_app_worker(
-    conn, name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
-) -> None:
-    """Forked worker: run one app, ship the payload through the pipe.
-
-    Catches *everything* (SystemExit from app loading included) — the
-    payload, not the exit code, is the parent's source of truth. Events
-    are streamed live as ``("event", dict)`` messages; the terminal
-    ``("result", payload)`` message carries the full record.
-    """
-    streamer = _PipeStreamer(conn)
-    obs.add_hook(streamer)
-    try:
-        payload = _execute_app(
-            name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
-        )
-    except BaseException as exc:  # noqa: BLE001 — isolation boundary
-        payload = _error_payload(exc)
-    finally:
-        obs.remove_hook(streamer)
-    try:
-        conn.send(("result", payload))
-    finally:
-        conn.close()
-
-
-def _stuck_stage(events: List[Dict[str, object]]) -> Optional[str]:
-    """The innermost stage/span still open at the end of a partial event
-    stream — where a timed-out worker was when it was killed."""
-    stack: List[str] = []
-    for event in events:
-        kind = event.get("kind")
-        if kind in (obs.STAGE_START, obs.SPAN_START):
-            stack.append(str(event.get("stage")))
-        elif kind in (obs.STAGE_END, obs.SPAN_END) and stack:
-            stack.pop()
-    return stack[-1] if stack else None
-
-
-# ----------------------------------------------------------------------
-# the batch driver
-# ----------------------------------------------------------------------
-def _run_one_isolated(
-    mp_context,
-    name: str,
-    options_dict: Dict[str, object],
-    timeout_s: float,
-    inject_fail: bool,
-    inject_hang_s: float,
-    inject_cache_corrupt: bool = False,
-    fork_guard=None,
-) -> AppRunRecord:
-    """Run one app in a forked worker under ``timeout_s``.
-
-    ``fork_guard``, when given, is a context manager held across the fork
-    itself: a caller whose other threads make sqlite calls uses it to keep
-    them out of sqlite at that moment (see the serve ``WorkerPool``)."""
-    preload_for_fork()
-    recv_conn, send_conn = mp_context.Pipe(duplex=False)
-    # NOT daemonic: a daemonic worker cannot fork the refutation pool, which
-    # would silently cost every isolated app its --parallelism. Cleanup is
-    # explicit instead (terminate/kill + join on every exit path below).
-    proc = mp_context.Process(
-        target=_run_app_worker,
-        args=(
-            send_conn,
-            name,
-            options_dict,
-            inject_fail,
-            inject_hang_s,
-            inject_cache_corrupt,
-        ),
-    )
-    t0 = time.perf_counter()
-    with fork_guard if fork_guard is not None else contextlib.nullcontext():
-        proc.start()
-    send_conn.close()  # parent's copy: the pipe must EOF when the worker dies
-
-    payload: Optional[Dict[str, object]] = None
-    streamed: List[Dict[str, object]] = []
-    timed_out = False
-    deadline = t0 + timeout_s
-    try:
-        # drain the pipe message by message: ("event", dict) interleaves with
-        # the terminal ("result", payload); on timeout whatever events made
-        # it through are the flush the report keeps
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0 or not recv_conn.poll(remaining):
-                timed_out = True
-                break
-            message = recv_conn.recv()
-            if (
-                isinstance(message, tuple)
-                and len(message) == 2
-                and message[0] == "event"
-            ):
-                streamed.append(message[1])
-                continue
-            if (
-                isinstance(message, tuple)
-                and len(message) == 2
-                and message[0] == "result"
-            ):
-                payload = message[1]
-            else:  # legacy bare-payload protocol
-                payload = message
-            break
-    except EOFError:
-        payload = None  # worker died before sending (hard crash)
-    elapsed = time.perf_counter() - t0
-
-    if timed_out:
-        proc.terminate()
-        proc.join(_TERMINATE_GRACE_S)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-        stuck = _stuck_stage(streamed)
-        error = {
-            "type": "Timeout",
-            "message": f"exceeded the {timeout_s:g}s per-app wall-clock budget"
-            + (f" (stuck in stage {stuck!r})" if stuck else ""),
-            "traceback": "",
-        }
-        if stuck:
-            error["stuck_stage"] = stuck
-        record = AppRunRecord(
-            app=name, status=STATUS_TIMEOUT, events=streamed, error=error
-        )
-    elif payload is None:
-        proc.join(_TERMINATE_GRACE_S)
-        record = AppRunRecord(
-            app=name,
-            status=STATUS_ERROR,
-            events=streamed,
-            error={
-                "type": "WorkerDied",
-                "message": (
-                    f"app worker exited with code {proc.exitcode} "
-                    "before reporting a result"
-                ),
-                "traceback": "",
-            },
-        )
-    else:
-        proc.join(_TERMINATE_GRACE_S)
-        if proc.is_alive():  # sent its payload but wedged on the way out
-            proc.kill()
-            proc.join()
-        record = AppRunRecord(app=name, **_record_kwargs(payload))
-    recv_conn.close()
-    record.elapsed_s = elapsed
-    record.isolated = True
-    return record
 
 
 def _run_one_inline(

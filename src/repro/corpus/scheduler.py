@@ -1,9 +1,16 @@
-"""Sharded work-stealing scheduler: the corpus driver's execution engine.
+"""The corpus driver's execution engine, and the one place per-app
+analysis children are forked.
 
-The original driver forked one worker process *per app*, serially — corpus
-throughput was bounded by a single analysis no matter how many cores the
-machine had. This module replaces that loop with a persistent pool of
-``shards`` worker processes fed by the parent from a size-aware plan:
+A :class:`Worker` is the parent-side handle on one forked analysis child.
+It forks when it has none, sends one task at a time, drains the obs
+events the child streams back, and turns every way a task can end into
+an :class:`~repro.corpus.driver.AppRunRecord`: the child's payload, a
+``timeout`` naming the stage the child was stuck in, or an
+``error``/``WorkerDied`` when the child exits without a result. Another
+thread may cancel it (SIGTERM, then SIGKILL after a grace). The serve
+daemon runs each job on a fresh one-task ``Worker``; :func:`run_sharded`
+runs a corpus batch on a persistent pool of ``shards`` of them, fed by
+the parent from a size-aware plan:
 
 * **Binpacking (LPT):** apps are ranked by predicted cost and assigned
   largest-first to the least-loaded shard, so the expensive tail starts
@@ -17,16 +24,16 @@ machine had. This module replaces that loop with a persistent pool of
   *tail* of the most-loaded remaining shard — the cheapest item of the
   busiest bin, the classic steal that keeps the plan's locality while
   fixing its estimation errors.
-* **Streaming:** workers ship obs events live through their pipe (the
-  driver's :class:`_PipeStreamer`) and results as they complete; the
-  parent flushes finished apps to the ledger in completion order, so an
+* **Streaming:** workers ship obs events live through their pipe
+  (:class:`_PipeStreamer`) and results as they complete; the parent
+  flushes finished apps to the ledger in completion order, so an
   operator tailing the ledger sees progress, not a final dump.
-* **Isolation preserved:** per-app wall-clock deadlines are enforced by
-  the parent (a stuck worker is killed, the app recorded as ``timeout``
-  with the partial event trail naming the stuck stage, and the shard
-  respawned); a crashed worker yields a ``WorkerDied`` error record and a
-  fresh process. ``--inject-fail`` / ``--inject-hang`` ride through
-  unchanged.
+* **Isolation:** per-app wall-clock deadlines are enforced by the parent
+  (a stuck worker is killed, the app recorded as ``timeout`` with the
+  partial event trail naming the stuck stage, and the shard re-forked
+  for its next app); a crashed worker yields a ``WorkerDied`` error
+  record and a fresh process. ``--inject-fail`` / ``--inject-hang`` ride
+  through unchanged.
 
 The pool also fixes nested-parallelism oversubscription: with ``P`` shards
 each running refutation at ``SierraOptions.parallelism R``, ``P*R``
@@ -40,15 +47,24 @@ binpacking and steal policy are unit-testable without forking anything.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import logging
 import os
+import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.corpus.driver import (
+    STATUS_ERROR,
+    STATUS_TIMEOUT,
+    AppRunRecord,
+    _record_kwargs,
+)
 from repro.obs import log as obs_log
 from repro.obs import metrics
 
@@ -62,6 +78,16 @@ EVENT_SHARD_FINISH = "corpus.shard.finish"
 
 #: seconds a terminated worker gets before escalating to SIGKILL
 _KILL_GRACE_S = 5.0
+
+#: what an analysis child (``_execute_app``) imports on demand
+_FORK_PRELOAD = (
+    "repro.cli",
+    "repro.perf",
+    "repro.obs.history",
+    "repro.cache.store",
+    "repro.cache.substrate",
+    "repro.cache.memo",
+)
 
 
 def available_cores() -> int:
@@ -213,15 +239,68 @@ class ProgressLine:
 
 
 # ----------------------------------------------------------------------
-# the worker loop (runs in a forked process)
+# the forked worker: its child loop and the parent-side handle
 # ----------------------------------------------------------------------
-def _shard_worker(conn, shard: int) -> None:
-    """Persistent shard worker: recv task → analyze → send result, until
-    told to stop. Events stream live through the same pipe (duplex);
-    every exception becomes an error payload — the process only dies on a
-    genuine crash (which the parent detects as EOF and respawns)."""
-    from repro.corpus.driver import _error_payload, _execute_app, _PipeStreamer
+def preload_for_fork() -> None:
+    """Import, before a fork, what analysis children would import on
+    demand. :meth:`Worker.start` calls this before every fork, and the
+    serve daemon before its threads start: the children inherit the
+    modules instead of each importing them again, and none can inherit a
+    module import lock that another thread of the parent held at
+    ``fork()``."""
+    for name in _FORK_PRELOAD:
+        importlib.import_module(name)
 
+
+class _PipeStreamer:
+    """An obs hook that streams events through the worker's pipe as they
+    happen, so a worker killed on timeout still leaves its partial event
+    trail in RUN_report.json (showing *where* it was stuck).
+
+    Pid-guarded: the refutation pool's grandchildren inherit the hook
+    across ``fork`` but must never write — ``Connection.send`` is not safe
+    for concurrent writers. Their spans come back through the chunk
+    results and are re-emitted in this process, where the guard passes.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.pid = os.getpid()
+
+    def __call__(self, event: obs.RunEvent) -> None:
+        if os.getpid() != self.pid:
+            return
+        try:
+            self.conn.send(("event", event.to_dict()))
+        except (BrokenPipeError, OSError):
+            pass  # parent gone; the worker is about to die anyway
+
+
+def _stuck_stage(events: List[Dict[str, object]]) -> Optional[str]:
+    """The innermost stage/span still open at the end of a partial event
+    stream — where a timed-out worker was when it was killed."""
+    stack: List[str] = []
+    for event in events:
+        kind = event.get("kind")
+        if kind in (obs.STAGE_START, obs.SPAN_START):
+            stack.append(str(event.get("stage")))
+        elif kind in (obs.STAGE_END, obs.SPAN_END) and stack:
+            stack.pop()
+    return stack[-1] if stack else None
+
+
+def _worker_loop(conn) -> None:
+    """The forked child: recv task → analyze → send result, until told to
+    stop. Events stream live through the same (duplex) pipe; every
+    exception becomes an error payload — the process only dies on a
+    genuine crash, which the parent sees as EOF."""
+    # imported here, after the fork: a test's patch of _execute_app reaches
+    # the child
+    from repro.corpus.driver import _error_payload, _execute_app
+
+    # a terminal's Ctrl-C reaches the whole process group: the task's fate
+    # is the parent's call (a cancel, or the kill when it shuts down)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     streamer = _PipeStreamer(conn)
     obs.add_hook(streamer)
     try:
@@ -230,12 +309,10 @@ def _shard_worker(conn, shard: int) -> None:
                 message = conn.recv()
             except EOFError:
                 break
-            if not (
-                isinstance(message, tuple) and message and message[0] == "task"
-            ):
-                break  # ("stop",) or anything unexpected: exit cleanly
+            if message[0] != "task":
+                break  # ("stop",): exit cleanly
             task = message[1]
-            if task.get("inject_crash"):
+            if task["inject_crash"]:
                 os._exit(23)
             try:
                 payload = _execute_app(
@@ -256,52 +333,209 @@ def _shard_worker(conn, shard: int) -> None:
         conn.close()
 
 
+def _escalate(proc, terminate: bool) -> None:
+    """Give ``proc`` the grace to exit (after a SIGTERM when ``terminate``),
+    then SIGKILL it. Waits on the sentinel rather than reaping, so another
+    thread may call it while the handle's owner is waiting on the child."""
+    if terminate:
+        proc.terminate()
+    if not _conn_wait([proc.sentinel], _KILL_GRACE_S):
+        proc.kill()
+
+
+class Worker:
+    """Parent-side handle on one forked analysis child.
+
+    The child (:func:`_worker_loop`) is forked on the first :meth:`send`,
+    and again after a kill or a death. Every task ends in exactly one
+    :class:`~repro.corpus.driver.AppRunRecord`: :meth:`drain` returns the
+    child's payload, or a ``WorkerDied`` error when the child exits
+    without one; :meth:`expire` kills a child past its deadline and
+    returns the ``timeout`` record naming the stuck stage.
+
+    ``fork_guard``, when given, returns a context manager held across the
+    fork itself: a caller whose other threads make sqlite calls uses it
+    to keep them out of sqlite at that moment (see the serve
+    ``WorkerPool``).
+    """
+
+    def __init__(self, mp_context, index: int = 0, fork_guard=None) -> None:
+        self.mp_context = mp_context
+        self.index = index  # the shard's bin in the plan
+        self.fork_guard = fork_guard
+        self.proc = None
+        self.conn = None
+        self.current: Optional[WorkItem] = None
+        self.timeout_s = 0.0
+        self.started = 0.0
+        self.deadline = 0.0
+        self.events: List[Dict[str, object]] = []
+        #: set by :meth:`cancel`: the child died because it was told to
+        self.cancelled = False
+
+    def start(self) -> None:
+        """Fork the child: the one place per-app analysis children fork."""
+        preload_for_fork()
+        parent_conn, child_conn = self.mp_context.Pipe(duplex=True)
+        # NOT daemonic: a daemonic child could not fork the refutation
+        # pool, which would silently cost every isolated app its
+        # --parallelism. Cleanup is explicit instead: every path that
+        # drops the child reaps it (_release).
+        proc = self.mp_context.Process(target=_worker_loop, args=(child_conn,))
+        with self.fork_guard() if self.fork_guard else contextlib.nullcontext():
+            proc.start()
+        child_conn.close()  # the parent's copy: the pipe must EOF when the child dies
+        self.proc, self.conn = proc, parent_conn
+
+    def send(
+        self, item: WorkItem, options_dict: Dict[str, object], timeout_s: float
+    ) -> None:
+        """Start ``item`` on the child (forking one first if there is none)."""
+        if self.proc is None:
+            self.start()
+        self.current = item
+        self.events = []
+        self.timeout_s = timeout_s
+        self.started = time.perf_counter()
+        self.deadline = self.started + timeout_s
+        self.conn.send(
+            (
+                "task",
+                {
+                    "name": item.name,
+                    "options": options_dict,
+                    "inject_fail": item.inject_fail,
+                    "inject_hang_s": item.inject_hang_s,
+                    "inject_cache_corrupt": item.inject_cache_corrupt,
+                    "inject_crash": item.inject_crash,
+                },
+            )
+        )
+
+    def drain(self) -> Optional[AppRunRecord]:
+        """Read what the child has sent so far, without blocking; the
+        task's record once it has ended, else ``None``."""
+        while True:
+            try:
+                if not self.conn.poll(0):
+                    return None
+                kind, body = self.conn.recv()
+            except (EOFError, OSError):
+                code = self._release(terminate=False)
+                return self._failed(
+                    STATUS_ERROR,
+                    "WorkerDied",
+                    f"analysis worker exited with code {code} before "
+                    "reporting a result",
+                )
+            if kind == "event":
+                self.events.append(body)
+                continue
+            record = AppRunRecord(app=self.current.name, **_record_kwargs(body))
+            if not record.events:
+                record.events = self.events
+            return self._finish(record)
+
+    def expire(self) -> AppRunRecord:
+        """Kill the child (past its deadline): the ``timeout`` record."""
+        self._release(terminate=True)
+        stuck = _stuck_stage(self.events)
+        return self._failed(
+            STATUS_TIMEOUT,
+            "Timeout",
+            f"exceeded the {self.timeout_s:g}s per-app wall-clock budget"
+            + (f" (stuck in stage {stuck!r})" if stuck else ""),
+            **({"stuck_stage": stuck} if stuck else {}),
+        )
+
+    def run(
+        self, item: WorkItem, options_dict: Dict[str, object], timeout_s: float
+    ) -> AppRunRecord:
+        """One task, blocking: its record once the child answers, dies or
+        passes the deadline. The child is stopped afterwards."""
+        self.send(item, options_dict, timeout_s)
+        try:
+            while True:
+                remaining = self.deadline - time.perf_counter()
+                if remaining <= 0 or not self.conn.poll(remaining):
+                    return self.expire()
+                record = self.drain()
+                if record is not None:
+                    return record
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Stop the child, if any: by message when idle, by signal mid-task."""
+        if self.proc is None:
+            return
+        busy = self.current is not None
+        if not busy:
+            try:
+                self.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass
+        self._release(terminate=busy)
+
+    def cancel(self) -> None:
+        """Stop the child from another thread: SIGTERM, then SIGKILL after
+        the grace. The thread driving the handle sees the child die, reaps
+        it, and reads :attr:`cancelled` to tell why."""
+        self.cancelled = True
+        proc = self.proc
+        if proc is not None:
+            _escalate(proc, terminate=True)
+
+    def _release(self, terminate: bool) -> Optional[int]:
+        """Reap the child and drop it (the next :meth:`send` forks a fresh
+        one); returns its exit code."""
+        _escalate(self.proc, terminate)
+        self.proc.join()
+        self.conn.close()
+        code = self.proc.exitcode
+        self.proc = self.conn = None
+        return code
+
+    def _failed(
+        self, status: str, error_type: str, message: str, **extra: str
+    ) -> AppRunRecord:
+        """The record of a task that ended without the child's payload."""
+        error = {"type": error_type, "message": message, "traceback": "", **extra}
+        return self._finish(
+            AppRunRecord(
+                app=self.current.name, status=status, events=self.events, error=error
+            )
+        )
+
+    def _finish(self, record: AppRunRecord) -> AppRunRecord:
+        record.elapsed_s = time.perf_counter() - self.started
+        record.isolated = True
+        self.current = None
+        return record
+
+
 # ----------------------------------------------------------------------
-# the parent-side pool
+# the sharded pool
 # ----------------------------------------------------------------------
-@dataclass
-class _Shard:
-    """Parent-side state of one worker process."""
-
-    index: int
-    proc: object = None
-    conn: object = None
-    current: Optional[WorkItem] = None
-    deadline: float = 0.0
-    started: float = 0.0
-    events: List[Dict[str, object]] = field(default_factory=list)
-    stopped: bool = False
-
-
 def run_sharded(
     mp_context,
     items: Sequence[WorkItem],
     options_dict: Dict[str, object],
     shards: int,
     timeout_s: float,
-    on_batch: Optional[Callable[[List["AppRunRecord"]], None]] = None,
+    on_batch: Optional[Callable[[List[AppRunRecord]], None]] = None,
     progress: Optional[ProgressLine] = None,
-):
+) -> List[AppRunRecord]:
     """Run ``items`` through a pool of ``shards`` workers; return their
     :class:`~repro.corpus.driver.AppRunRecord` list **in input order**.
 
     ``on_batch`` receives every burst of newly finished records (completion
     order) as it happens — the driver points this at the ledger. Faults
-    follow the driver's contract: analysis exceptions come back as
-    ``error`` payloads from the worker, a killed deadline becomes
-    ``timeout`` with the streamed partial events, a dead worker becomes a
-    ``WorkerDied`` error and the shard is respawned.
+    follow the :class:`Worker` contract: analysis exceptions come back as
+    ``error`` payloads, a killed deadline becomes ``timeout`` with the
+    streamed partial events, a dead worker becomes a ``WorkerDied`` error;
+    the shard re-forks for its next item.
     """
-    from repro.corpus.driver import (
-        _TERMINATE_GRACE_S,
-        STATUS_ERROR,
-        STATUS_TIMEOUT,
-        AppRunRecord,
-        _record_kwargs,
-        _stuck_stage,
-        preload_for_fork,
-    )
-
     shards = max(1, min(int(shards), max(1, len(items))))
     plan = WorkPlan(items, shards)
     total = len(items)
@@ -315,41 +549,13 @@ def run_sharded(
     queue_gauge.set(plan.remaining())
     busy_gauge.set(0)
 
-    pool: List[_Shard] = [_Shard(index=i) for i in range(shards)]
-    preload_for_fork()
+    pool = [Worker(mp_context, index=i) for i in range(shards)]
 
-    def spawn(shard: _Shard) -> None:
-        parent_conn, child_conn = mp_context.Pipe(duplex=True)
-        # NOT daemonic — a daemonic shard could not fork the refutation
-        # pool (same contract as the old per-app workers)
-        shard.proc = mp_context.Process(
-            target=_shard_worker, args=(child_conn, shard.index)
-        )
-        shard.proc.start()
-        child_conn.close()
-        shard.conn = parent_conn
-        shard.current = None
-        shard.events = []
-        shard.stopped = False
-
-    def kill(shard: _Shard) -> None:
-        shard.proc.terminate()
-        shard.proc.join(_TERMINATE_GRACE_S)
-        if shard.proc.is_alive():
-            shard.proc.kill()
-            shard.proc.join()
-        shard.conn.close()
-
-    def dispatch(shard: _Shard) -> None:
-        """Hand the shard its next item, or stop it when the plan is dry."""
-        taken = plan.take(shard.index)
+    def dispatch(worker: Worker) -> None:
+        """Hand the worker its next item, or stop it when the plan is dry."""
+        taken = plan.take(worker.index)
         if taken is None:
-            try:
-                shard.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            shard.stopped = True
-            shard.current = None
+            worker.close()
             return
         item, stolen_from = taken
         if stolen_from is not None:
@@ -358,48 +564,29 @@ def run_sharded(
                 obs.RunEvent(
                     kind=EVENT_SHARD_STEAL,
                     stage=item.name,
-                    detail={"shard": shard.index, "victim": stolen_from},
+                    detail={"shard": worker.index, "victim": stolen_from},
                 )
             )
             obs_log.event(
                 _log, "shard.steal", app=item.name,
-                shard=shard.index, victim=stolen_from,
+                shard=worker.index, victim=stolen_from,
             )
-        shard.current = item
-        shard.events = []
-        shard.started = time.perf_counter()
-        shard.deadline = shard.started + timeout_s
-        shard.conn.send(
-            (
-                "task",
-                {
-                    "name": item.name,
-                    "options": options_dict,
-                    "inject_fail": item.inject_fail,
-                    "inject_hang_s": item.inject_hang_s,
-                    "inject_cache_corrupt": item.inject_cache_corrupt,
-                    "inject_crash": item.inject_crash,
-                },
-            )
-        )
+        worker.send(item, options_dict, timeout_s)
         queue_gauge.set(plan.remaining())
-        busy_gauge.set(sum(1 for s in pool if s.current is not None))
+        busy_gauge.set(sum(1 for w in pool if w.current is not None))
         obs.emit(
             obs.RunEvent(
                 kind=EVENT_SHARD_START,
                 stage=item.name,
-                detail={"shard": shard.index, "cost": item.cost},
+                detail={"shard": worker.index, "cost": item.cost},
             )
         )
-        obs_log.event(_log, "app.start", app=item.name, shard=shard.index)
+        obs_log.event(_log, "app.start", app=item.name, shard=worker.index)
         if progress is not None:
-            progress.start(shard.index, item.name)
+            progress.start(worker.index, item.name)
 
-    def settle(shard: _Shard, record: "AppRunRecord") -> None:
-        """Account one finished item on ``shard`` and refill it."""
-        item = shard.current
-        record.elapsed_s = time.perf_counter() - shard.started
-        record.isolated = True
+    def settle(worker: Worker, item: WorkItem, record: AppRunRecord) -> None:
+        """Account one finished item on ``worker`` and refill it."""
         records[item.index] = record
         app_seconds.observe(record.elapsed_s)
         obs.emit(
@@ -407,139 +594,53 @@ def run_sharded(
                 kind=EVENT_SHARD_FINISH,
                 stage=item.name,
                 seconds=record.elapsed_s,
-                detail={"shard": shard.index, "status": record.status},
+                detail={"shard": worker.index, "status": record.status},
             )
         )
         obs_log.event(
             _log, "app.finish",
             level=logging.INFO if record.ok else logging.WARNING,
-            app=item.name, shard=shard.index, status=record.status,
+            app=item.name, shard=worker.index, status=record.status,
             elapsed_s=round(record.elapsed_s, 4),
             error_type=record.error.get("type") if record.error else None,
         )
         if progress is not None:
-            progress.finish(shard.index, item.name, item.cost)
-        shard.current = None
+            progress.finish(worker.index, item.name, item.cost)
         finished.append(record)
+        dispatch(worker)
 
-    for shard in pool:
-        spawn(shard)
-        dispatch(shard)
+    for worker in pool:
+        dispatch(worker)
 
     try:
         while len(records) < total:
-            busy = [s for s in pool if s.current is not None]
+            busy = [w for w in pool if w.current is not None]
             if not busy:  # defensive: plan drained but records missing
                 raise RuntimeError(
                     f"scheduler stalled: {len(records)}/{total} records"
                 )
             finished: List[AppRunRecord] = []
-            now = time.perf_counter()
-            wait_s = max(0.0, min(s.deadline for s in busy) - now)
-            ready = _conn_wait([s.conn for s in busy], timeout=wait_s)
-            by_conn = {s.conn: s for s in busy}
+            wait_s = max(0.0, min(w.deadline for w in busy) - time.perf_counter())
+            ready = _conn_wait([w.conn for w in busy], timeout=wait_s)
+            by_conn = {w.conn: w for w in busy}
             for conn in ready:
-                shard = by_conn[conn]
-                died = False
-                while shard.current is not None:
-                    try:
-                        if not conn.poll(0):
-                            break
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        died = True
-                        break
-                    if (
-                        isinstance(message, tuple)
-                        and len(message) == 2
-                        and message[0] == "event"
-                    ):
-                        shard.events.append(message[1])
-                        continue
-                    payload = (
-                        message[1]
-                        if isinstance(message, tuple)
-                        and len(message) == 2
-                        and message[0] == "result"
-                        else message
-                    )
-                    record = AppRunRecord(
-                        app=shard.current.name, **_record_kwargs(payload)
-                    )
-                    if not record.events:
-                        record.events = shard.events
-                    settle(shard, record)
-                    dispatch(shard)
-                if died and shard.current is not None:
-                    item = shard.current
-                    shard.proc.join(_TERMINATE_GRACE_S)
-                    record = AppRunRecord(
-                        app=item.name,
-                        status=STATUS_ERROR,
-                        events=shard.events,
-                        error={
-                            "type": "WorkerDied",
-                            "message": (
-                                f"shard {shard.index} worker exited with code "
-                                f"{shard.proc.exitcode} before reporting a result"
-                            ),
-                            "traceback": "",
-                        },
-                    )
-                    settle(shard, record)
-                    shard.conn.close()
-                    spawn(shard)
-                    dispatch(shard)
+                worker = by_conn[conn]
+                item = worker.current
+                record = worker.drain()
+                if record is not None:
+                    settle(worker, item, record)
             # deadline sweep: kill anything past its per-app budget
             now = time.perf_counter()
-            for shard in pool:
-                if shard.current is None or now < shard.deadline:
-                    continue
-                item = shard.current
-                kill(shard)
-                stuck = _stuck_stage(shard.events)
-                error = {
-                    "type": "Timeout",
-                    "message": (
-                        f"exceeded the {timeout_s:g}s per-app wall-clock budget"
-                        + (f" (stuck in stage {stuck!r})" if stuck else "")
-                    ),
-                    "traceback": "",
-                }
-                if stuck:
-                    error["stuck_stage"] = stuck
-                record = AppRunRecord(
-                    app=item.name,
-                    status=STATUS_TIMEOUT,
-                    events=shard.events,
-                    error=error,
-                )
-                settle(shard, record)
-                spawn(shard)
-                dispatch(shard)
-            busy_gauge.set(sum(1 for s in pool if s.current is not None))
+            for worker in pool:
+                item = worker.current
+                if item is not None and now >= worker.deadline:
+                    settle(worker, item, worker.expire())
+            busy_gauge.set(sum(1 for w in pool if w.current is not None))
             if finished and on_batch is not None:
                 on_batch(finished)
     finally:
-        for shard in pool:
-            if shard.proc is None:
-                continue
-            if shard.current is not None:
-                kill(shard)
-            else:
-                if not shard.stopped:
-                    try:
-                        shard.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        pass
-                shard.proc.join(_KILL_GRACE_S)
-                if shard.proc.is_alive():
-                    shard.proc.kill()
-                    shard.proc.join()
-                try:
-                    shard.conn.close()
-                except OSError:
-                    pass
+        for worker in pool:
+            worker.close()
         queue_gauge.set(0)
         busy_gauge.set(0)
         if progress is not None:

@@ -5,16 +5,20 @@ N worker threads share one :class:`~repro.serve.jobs.JobStore` and one
 loops: claim the oldest queued job, run the detector, append the result
 to the ledger as one ``serve`` run, mark the job ``done``/``failed``.
 
-The detector runs as a **library inside a forked child per job** —
-exactly the corpus driver's isolation path
-(:func:`repro.corpus.driver._run_one_isolated`), reused here so a job
-that crashes the analysis, hangs past the budget, or corrupts its own
-heap takes down one fork, not the daemon: the worker thread survives,
-records the failure on the job, and claims the next one. Forking also
-gives every job a private metrics registry (scrape windows cannot
-interleave across concurrent jobs) while the **on-disk substrate cache
-is shared**, so a re-submitted app warm-starts from the previous job's
-substrate bundle (``pointsto.worklist_iterations == 0``).
+The detector runs as a **library inside a forked child per job**: each
+job gets a fresh one-task :class:`~repro.corpus.scheduler.Worker`, the
+handle the corpus scheduler's shards use, so a job that crashes the
+analysis, hangs past the budget, or corrupts its own heap takes down one
+fork, not the daemon: the worker thread survives, records the failure on
+the job, and claims the next one. Forking also gives every job a private
+metrics registry (scrape windows cannot interleave across concurrent
+jobs) while the **on-disk substrate cache is shared**, so a re-submitted
+app warm-starts from the previous job's substrate bundle
+(``pointsto.worklist_iterations == 0``).
+
+:meth:`WorkerPool.stop` forks nothing more and cancels the jobs in
+flight (SIGTERM, then SIGKILL after a grace), so shutdown is bounded. A
+cancelled job stays ``running``; the next daemon start requeues it.
 
 Platforms without ``fork`` degrade to in-process execution under a pool-
 wide lock: results stay exact, concurrency and enforced timeouts are
@@ -32,6 +36,8 @@ from contextlib import contextmanager
 from typing import Dict, Optional
 
 from repro.core import SierraOptions
+from repro.corpus.driver import _run_one_inline
+from repro.corpus.scheduler import Worker, WorkItem, preload_for_fork
 from repro.obs import log as obs_log
 from repro.obs import metrics
 from repro.obs.history import KIND_SERVE, LedgerError, RunLedger
@@ -112,6 +118,10 @@ class WorkerPool:
         # (the metrics registry is process-global; interleaved scrape
         # windows would corrupt each other's counters)
         self._inline_lock = threading.Lock()
+        # the forked jobs in flight, for stop() to cancel; registered,
+        # with the stop flag re-checked, under this lock
+        self._lock = threading.Lock()
+        self._in_flight: set = set()
         self._mp_context = None
         if isolate:
             try:
@@ -139,8 +149,6 @@ class WorkerPool:
     def start(self) -> None:
         if self.isolated:
             # before any worker thread exists: jobs fork from those threads
-            from repro.corpus.driver import preload_for_fork
-
             preload_for_fork()
         for i in range(self.workers):
             thread = threading.Thread(
@@ -150,11 +158,20 @@ class WorkerPool:
             thread.start()
             self._threads.append(thread)
 
-    def stop(self, timeout_s: float = 10.0) -> None:
+    def stop(self) -> None:
+        """Stop claiming, cancel the forked jobs in flight, join the threads.
+
+        A cancelled job stays ``running``: the next daemon's
+        :meth:`JobStore.recover` requeues it. An in-process job (no fork)
+        cannot be cancelled; its daemon thread is abandoned after the
+        join timeout."""
         self._stop.set()
         self._wake.set()
+        with self._lock:
+            for worker in self._in_flight:
+                worker.cancel()
         for thread in self._threads:
-            thread.join(timeout_s)
+            thread.join(10.0)
         self._threads = []
 
     def kick(self) -> None:
@@ -248,12 +265,14 @@ class WorkerPool:
             yield
 
     def _run_job(self, job: Job, worker_name: str) -> None:
-        from repro.corpus.driver import _run_one_inline, _run_one_isolated
-
         options_dict = merge_job_options(self.options, job.options)
-        inject_fail = bool(job.options.get("inject_fail"))
-        inject_hang_s = (
-            self.job_timeout_s + 30.0 if job.options.get("inject_hang") else 0.0
+        item = WorkItem(
+            index=0,
+            name=job.app,
+            inject_fail=bool(job.options.get("inject_fail")),
+            inject_hang_s=(
+                self.job_timeout_s + 30.0 if job.options.get("inject_hang") else 0.0
+            ),
         )
         t0 = time.perf_counter()
         # bind the job's identity for the extent of the analysis: the
@@ -261,19 +280,23 @@ class WorkerPool:
         # carry job_id/app with no plumbing through the driver
         with obs_log.bind(job_id=job.job_id, app=job.app, worker=worker_name):
             if self._mp_context is not None:
-                record = _run_one_isolated(
-                    self._mp_context,
-                    job.app,
-                    options_dict,
-                    self.job_timeout_s,
-                    inject_fail,
-                    inject_hang_s,
-                    fork_guard=self._sqlite_quiesced(),
-                )
+                worker = Worker(self._mp_context, fork_guard=self._sqlite_quiesced)
+                with self._lock:
+                    if self._stop.is_set():
+                        return  # no fork once stop() began: the job stays running
+                    worker.start()
+                    self._in_flight.add(worker)
+                try:
+                    record = worker.run(item, options_dict, self.job_timeout_s)
+                finally:
+                    with self._lock:
+                        self._in_flight.discard(worker)
+                if worker.cancelled:
+                    return  # left running, for the next start's recover()
             else:
                 with self._inline_lock:
                     record = _run_one_inline(
-                        job.app, options_dict, inject_fail, inject_hang_s
+                        job.app, options_dict, item.inject_fail, item.inject_hang_s
                     )
         elapsed = time.perf_counter() - t0
 

@@ -8,6 +8,11 @@ their own ledger files.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -212,6 +217,80 @@ def test_daemon_recovers_orphaned_jobs(tmp_path):
         assert daemon.recovered_jobs == 1
         final = ServeClient(daemon.url).wait(job.job_id, timeout_s=120)
         assert final["status"] == DONE
+
+
+@pytest.mark.serve_smoke
+def test_job_child_hard_crash_fails_the_job_as_worker_died(tmp_path, monkeypatch):
+    from repro.corpus import driver
+
+    with ServeDaemon(str(tmp_path / "runs.sqlite"), workers=1, port=0) as running:
+        client = ServeClient(running.url)
+        # the job's fork inherits the patch: its child exits without a result
+        monkeypatch.setattr(driver, "_execute_app", lambda *args: os._exit(23))
+        crashed = client.wait(str(client.submit("quickstart")["job_id"]), timeout_s=90)
+        monkeypatch.undo()
+        ok = client.wait(str(client.submit("quickstart")["job_id"]), timeout_s=90)
+    assert crashed["status"] == FAILED
+    assert crashed["error"]["type"] == "WorkerDied"
+    assert ok["status"] == DONE
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
+
+#: starts a one-worker daemon, waits until an inject_hang job's child is
+#: running, stops the daemon, and reports what stop() left behind
+_STOP_WITH_A_HUNG_JOB = """
+import json, multiprocessing, sys, time
+from repro.serve import RUNNING, ServeClient, ServeDaemon
+
+daemon = ServeDaemon(sys.argv[1], workers=1, port=0)
+daemon.start()
+client = ServeClient(daemon.url)
+job_id = str(client.submit("quickstart", {"inject_hang": True})["job_id"])
+give_up = time.monotonic() + 60
+while not (
+    client.job(job_id)["status"] == RUNNING and multiprocessing.active_children()
+):
+    assert time.monotonic() < give_up, "the hung job never started"
+    time.sleep(0.05)
+t0 = time.perf_counter()
+daemon.stop()
+print(json.dumps({
+    "job_id": job_id,
+    "stop_s": time.perf_counter() - t0,
+    "children": len(multiprocessing.active_children()),
+}))
+"""
+
+
+@pytest.mark.serve_smoke
+def test_stop_cancels_a_hung_job_and_the_process_exits(tmp_path):
+    """stop() cancels the job child instead of waiting out its 120 s
+    deadline, and leaves nothing for the interpreter to wait on at exit.
+    The job stays running, so the next start requeues it. Runs in a fresh
+    interpreter: its exit is part of what is checked."""
+    history = str(tmp_path / "runs.sqlite")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for var in ("REPRO_HISTORY", "REPRO_CACHE"):
+        env.pop(var, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_STOP_WITH_A_HUNG_JOB), history],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,  # far below the job's 120 s deadline
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["stop_s"] < 5.0
+    assert out["children"] == 0
+    with JobStore(history) as store:
+        assert store.get(out["job_id"]).status == RUNNING
+        assert store.recover() == 1
 
 
 def test_jobs_fork_with_daemon_sqlite_quiesced(tmp_path, monkeypatch):

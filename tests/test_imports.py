@@ -150,20 +150,9 @@ os.fork = _fork
 """
 
 
-@pytest.mark.parametrize("path", ["per_app", "shard_pool", "serve"])
+@pytest.mark.parametrize("path", ["shard_pool", "serve"])
 def test_forking_parents_preload_before_the_first_fork(path, tmp_path):
     drive = {
-        "per_app": """
-            import dataclasses, multiprocessing
-            from repro.core import SierraOptions
-            from repro.corpus.driver import _run_one_isolated
-
-            record = _run_one_isolated(
-                multiprocessing.get_context("fork"), "quickstart",
-                dataclasses.asdict(SierraOptions()), 120.0, False, 0.0,
-            )
-            status = record.status
-            """,
         "shard_pool": """
             from repro.corpus.driver import run_corpus
 
