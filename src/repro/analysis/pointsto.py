@@ -170,9 +170,6 @@ class PointsToResult:
         self.selector = analysis.selector
         self.program = analysis.program
         self.index_sensitive_arrays = analysis.index_sensitive_arrays
-        # solver effort counters (consumed by repro.perf)
-        self.passes_run = analysis.passes_run
-        self.worklist_iterations = analysis.worklist_iterations
 
     def var(self, mc: MethodContext, name: str) -> FrozenSet[PointsToObject]:
         return frozenset(self._var_pts.get((mc, name), ()))
@@ -211,8 +208,9 @@ class PointerAnalysis:
       dependents are re-queued; nothing else is ever re-interpreted.
     * ``solver="passes"`` — the original whole-program iteration
       (re-interpret every reachable method until no pass changes anything),
-      kept as the perf baseline for ``repro.perf`` and for differential
-      testing. Both drivers reach the same (unique) least fixpoint.
+      kept as the reference the worklist driver is tested against
+      (``tests/analysis/test_pointsto.py``). Both drivers reach the same
+      (unique) least fixpoint.
     """
 
     #: hard cap on fixpoint passes — a safety net, never hit in practice

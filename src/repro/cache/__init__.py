@@ -1,7 +1,8 @@
 """Persistent substrate cache + cross-run incremental analysis.
 
 Enabled with ``--cache <dir>`` (or the ``REPRO_CACHE`` environment
-variable) on ``analyze``, ``corpus-analyze`` and ``bench``. See
+variable) on every command that runs the pipeline (``analyze``,
+``corpus-analyze``, ``serve``, ...). See
 ``docs/performance.md`` ("Persistent substrate cache") for the key scheme,
 the invalidation story, and measured cold/warm numbers.
 """

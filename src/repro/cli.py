@@ -7,10 +7,7 @@ the same over the reproduction's corpus:
 * ``compare <app>``  — static vs the EventRacer-style dynamic baseline,
   plus optional replay verification of the static candidates;
 * ``corpus``         — list the available apps (figures, 20-app dataset,
-  F-Droid population);
-* ``bench``          — run the perf harness over the synthetic corpus and
-  emit ``BENCH_pipeline.json`` (stage timings, effort counters, substrate
-  speedups vs the naive baselines).
+  F-Droid population).
 
 ``<app>`` is ``quickstart`` / ``newsreader`` / ``dbapp`` / ``opensudoku``,
 ``paper:<Name>`` (a Table 2 row, e.g. ``paper:K-9 Mail``), or
@@ -87,7 +84,7 @@ def load_app(name: str) -> Apk:
 
 def is_known_app(name: str) -> bool:
     """Does ``<app>`` resolve, without paying for synthesis? Used to fail
-    batch runs (corpus-analyze, the bench gate) fast on bad names."""
+    batch runs (corpus-analyze, serve submissions) fast on bad names."""
     if name in _FIGURE_APPS:
         return True
     if name.startswith("paper:"):
@@ -366,179 +363,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 0
 
     print(profile_mod.format_summary(summary, top=args.top))
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.cache import cache_dir_from_env
-    from repro.obs.history import LedgerError
-    from repro.perf import DEFAULT_APPS, SPEEDUP_APP, run_bench
-
-    apps = args.apps or DEFAULT_APPS
-    speedup_app = None if args.no_speedup else (args.speedup_app or SPEEDUP_APP)
-    cache_dir = cache_dir_from_env(getattr(args, "cache", None))
-    if args.warm and not cache_dir:
-        print(
-            "bench: --warm needs a cache (pass --cache DIR or set REPRO_CACHE)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        data = run_bench(
-            apps=apps,
-            speedup_app=speedup_app,
-            out_path=args.out,
-            parallelism=args.parallelism,
-            history=_history_path(args),
-            cache_dir=cache_dir,
-            warm=args.warm,
-            serve=args.serve,
-            serve_workers=args.serve_workers,
-            serve_concurrency=args.serve_concurrency,
-            corpus=args.corpus,
-            corpus_count=args.corpus_count,
-            corpus_seed=args.corpus_seed,
-            corpus_shards=args.corpus_shards,
-            profile=args.profile,
-        )
-    except LedgerError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    if data.get("run_id"):
-        print(f"recorded run {data['run_id']}", file=sys.stderr)
-    rows = []
-    for name, record in data["apps"].items():
-        stages = record["stages"]
-        counters = record["counters"]
-        rows.append(
-            {
-                "App": name,
-                "CG+PA (s)": f"{stages['cg_pa']:.2f}",
-                "HBG (s)": f"{stages['hbg']:.2f}",
-                "Refutation (s)": f"{stages['refutation']:.2f}",
-                "Actions": counters["actions"],
-                "Closure ops": counters["closure_ops"],
-                "PA worklist": counters["pointsto_worklist_iterations"],
-                "Paths": counters["refutation_nodes_expanded"],
-            }
-        )
-    print(format_table(rows))
-    speedup = data.get("speedup")
-    if speedup:
-        hbg = speedup["hbg"]
-        pointsto = speedup["pointsto"]
-        print(
-            f"\nsubstrate speedups on {speedup['app']}:\n"
-            f"  HBG      : naive {hbg['naive_s']:.3f}s -> bitset "
-            f"{hbg['bitset_s']:.3f}s ({hbg['speedup']:.1f}x)\n"
-            f"  points-to: passes {pointsto['passes_s']:.3f}s -> worklist "
-            f"{pointsto['worklist_s']:.3f}s ({pointsto['speedup']:.1f}x)\n"
-            f"  HBG + CG/PA combined: {speedup['hbg_cg_pa_combined']:.1f}x"
-        )
-    serve_block = data.get("serve")
-    if serve_block:
-        print(
-            f"\nserve mode ({serve_block['workers']} workers, concurrency "
-            f"{serve_block['concurrency']}, "
-            f"{'forked' if serve_block['isolated'] else 'in-process'}): "
-            f"{serve_block['apps_per_s']:.2f} apps/s, latency "
-            f"p50 {serve_block['latency_p50_s']:.2f}s "
-            f"p99 {serve_block['latency_p99_s']:.2f}s"
-        )
-        equivalence = serve_block["equivalence"]
-        if not equivalence["identical"]:
-            print(
-                "bench: serve results diverge from CLI one-shots "
-                f"({equivalence['divergences']})",
-                file=sys.stderr,
-            )
-            if args.out:
-                print(f"\nwrote {args.out}")
-            return 2
-        print("serve/CLI equivalence: identical fingerprints and verdicts")
-    corpus_block = data.get("corpus")
-    if corpus_block:
-        print(
-            f"\ncorpus: {corpus_block['count']} apps "
-            f"(seed {corpus_block['seed']}, {corpus_block['cores']} cores)"
-        )
-        corpus_rows = [
-            {
-                "Shards": shards,
-                "Apps/s": f"{block['apps_per_s']:.2f}",
-                "Elapsed (s)": f"{block['elapsed_s']:.1f}",
-                "p50 (s)": f"{block['latency_p50_s']:.2f}",
-                "p99 (s)": f"{block['latency_p99_s']:.2f}",
-                "Steals": block["steals"],
-                "Efficiency": (
-                    f"{block['scaling_efficiency']:.2f}"
-                    if "scaling_efficiency" in block
-                    else "-"
-                ),
-            }
-            for shards, block in sorted(
-                corpus_block["shards"].items(), key=lambda kv: int(kv[0])
-            )
-        ]
-        print(format_table(corpus_rows))
-        truth = corpus_block["ground_truth"]
-        print(
-            f"ground truth: recall {truth['recall']:.3f} "
-            f"precision {truth['precision']:.3f} "
-            f"({truth['found']}/{truth['expected']} injected races found)"
-        )
-        equivalence = corpus_block["equivalence"]
-        if not equivalence["identical"]:
-            print(
-                "bench: sharded corpus results diverge from serial "
-                f"({equivalence['divergences']})",
-                file=sys.stderr,
-            )
-            if args.out:
-                print(f"\nwrote {args.out}")
-            return 2
-        print("sharded/serial equivalence: identical fingerprints and verdicts")
-    warm = data.get("warm")
-    if warm:
-        warm_rows = [
-            {
-                "App": name,
-                "Cold (s)": f"{rec['cold_total_s']:.2f}",
-                "Warm (s)": f"{rec['warm_total_s']:.2f}",
-                "Speedup": f"{rec['warm_speedup']:.1f}x",
-                "Substrate hits": rec["counters"]["cache_substrate_hits"],
-                "Memo hits": rec["counters"]["refutation_cache_hits"],
-            }
-            for name, rec in warm["apps"].items()
-        ]
-        print("\nwarm re-analysis (cold -> warm against the cache):")
-        print(format_table(warm_rows))
-        equivalence = warm["equivalence"]
-        if not equivalence["identical"]:
-            print(
-                "bench: warm results diverge from cold "
-                f"({equivalence['divergences']})",
-                file=sys.stderr,
-            )
-            if args.out:
-                print(f"\nwrote {args.out}")
-            return 2
-        print("warm/cold equivalence: identical fingerprints and verdicts")
-    profile_block = data.get("profile")
-    if profile_block:
-        print(
-            f"\nprofile ({profile_block['app']}): coverage "
-            f"{float(profile_block['coverage']):.1%}, self-overhead "
-            f"{float(profile_block['self_overhead_s']):.4f}s, "
-            f"{profile_block['flamegraph_stacks']} flamegraph stacks"
-        )
-        for kind in ("pointsto.method", "hb.rule", "refute.field"):
-            rows = profile_block.get("top_units", {}).get(kind, [])
-            if rows:
-                top = rows[0]
-                print(f"  top {kind}: {top['name']} ({top['seconds']:.4f}s)")
-    if args.out:
-        print(f"\nwrote {args.out}")
     return 0
 
 
@@ -1138,55 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the machine-readable GroundTruth "
                        "manifest JSON here")
     synth.set_defaults(func=cmd_corpus_synth)
-
-    bench = sub.add_parser("bench", help="run the perf harness, emit BENCH_pipeline.json")
-    bench.add_argument("--apps", nargs="*", default=None,
-                       help="apps to bench (default: the standard suite)")
-    bench.add_argument("--out", default="BENCH_pipeline.json",
-                       help="output path (empty string to skip writing)")
-    bench.add_argument("--parallelism", type=int, default=1,
-                       help="refutation worker processes during the bench")
-    bench.add_argument("--speedup-app", default=None,
-                       help="app for the substrate speedup measurement")
-    bench.add_argument("--no-speedup", action="store_true",
-                       help="skip the naive-vs-fast substrate comparison")
-    bench.add_argument("--cache", metavar="DIR", default=None,
-                       help="persistent substrate cache directory "
-                       "(default: $REPRO_CACHE when set)")
-    bench.add_argument("--warm", action="store_true",
-                       help="cold-then-warm per app against the cache; adds "
-                       "warm_speedup + hit-rates to the output and gates "
-                       "warm/cold result equivalence (needs --cache or "
-                       "$REPRO_CACHE; exit 2 on divergence)")
-    bench.add_argument("--serve", action="store_true",
-                       help="also bench an in-process serve daemon under "
-                       "load: apps/sec + p50/p99 latency under 'serve', "
-                       "gating serve/CLI result equivalence (exit 2 on "
-                       "divergence)")
-    bench.add_argument("--serve-workers", type=int, default=2,
-                       help="daemon worker threads for --serve (default 2)")
-    bench.add_argument("--serve-concurrency", type=int, default=4,
-                       help="load-generator client threads for --serve "
-                       "(default 4)")
-    bench.add_argument("--corpus", action="store_true",
-                       help="also bench the sharded corpus scheduler on a "
-                       "seeded family corpus: apps/sec per shard count, "
-                       "scaling efficiency, ground-truth recall, gating "
-                       "sharded/serial result equivalence (exit 2 on "
-                       "divergence)")
-    bench.add_argument("--corpus-count", type=int, default=100,
-                       help="family corpus size for --corpus (default 100)")
-    bench.add_argument("--corpus-seed", type=int, default=0,
-                       help="family corpus seed for --corpus (default 0)")
-    bench.add_argument("--corpus-shards", type=int, nargs="*", default=None,
-                       help="shard counts to sweep for --corpus "
-                       "(default: 1 2 4 and the core count)")
-    bench.add_argument("--profile", action="store_true",
-                       help="also run one attribution-enabled analysis of "
-                       "the speedup app: coverage, self-overhead, top "
-                       "attributed units under 'profile'")
-    add_history_flag(bench)
-    bench.set_defaults(func=cmd_bench)
 
     cache_p = sub.add_parser(
         "cache",

@@ -229,7 +229,7 @@ class Sierra:
     @staticmethod
     def _record_gauges(report: SierraReport) -> None:
         """Publish pipeline outputs to the metrics registry: the single
-        source of truth bench/corpus reports scrape."""
+        source of truth corpus reports and ledger rows scrape."""
         gauges = {
             "sierra.harnesses": (report.harnesses, "generated harnesses"),
             "sierra.actions": (report.actions, "extracted actions"),

@@ -222,7 +222,8 @@ class HBBuilder:
         Each span's closing event carries the number of direct edges the
         rule contributed — the per-rule breakdown a trace viewer shows
         under the ``hbg`` stage. Closure effort lands on the
-        ``hb.closure_ops`` counter (the bench/driver counter vocabulary).
+        ``hb.closure_ops`` counter (the ``RUN_report.json`` counter
+        vocabulary, :data:`repro.obs.metrics.COUNTER_METRICS`).
         """
         rules = (
             ("R1-invocation", self._rule1_action_invocation),

@@ -190,8 +190,7 @@ def _execute_app(
     from repro.cli import load_app
     from repro.core import Sierra, SierraOptions
     from repro.obs import metrics
-    from repro.obs.history import race_row
-    from repro.perf import collect_counters, collect_stage_timings
+    from repro.obs.history import collect_stage_timings, race_row
 
     # bind the app for the extent of the analysis: every detector-stage
     # log line (bridged off the obs bus) carries it, in this process or
@@ -225,7 +224,7 @@ def _execute_app(
     return {
         "status": STATUS_DEGRADED if recorder.degraded else STATUS_OK,
         "stages": collect_stage_timings(result),
-        "counters": collect_counters(result),
+        "counters": metrics.collect_counters(),
         "report": {
             "racy_pairs": report.racy_pairs,
             "races_after_refutation": report.races_after_refutation,
@@ -366,10 +365,9 @@ def run_corpus_remote(
     """Drive a ``repro serve`` daemon with the corpus: the load generator.
 
     Submits every app as a job from ``concurrency`` client threads, polls
-    each to a terminal status, and records the client-observed latency —
-    the numbers behind the bench suite's ``serve`` block (apps/sec,
-    p50/p99). Unknown app names raise :class:`ValueError` up front (same
-    contract as the local batch); an unreachable daemon raises
+    each to a terminal status, and records the client-observed latency
+    (apps/sec, p50/p99). Unknown app names raise :class:`ValueError` up
+    front (same contract as the local batch); an unreachable daemon raises
     :class:`~repro.serve.ServeError` before anything is submitted.
     """
     import queue as queue_mod
@@ -454,9 +452,9 @@ def _cost_model_block(cost_model, names, predictions) -> Dict[str, object]:
 
     The ``corpus.cost_model.predicted_vs_actual`` histogram observes the
     calibrated model's relative prediction error per completed app; the
-    block also scores the *static* model on the same apps, so a bench or
-    test can verify calibration tightened prediction error instead of
-    taking it on faith.
+    block also scores the *static* model on the same apps, so a test can
+    verify calibration tightened prediction error instead of taking it on
+    faith.
     """
     from repro.obs import metrics
 

@@ -24,7 +24,7 @@ magnitude in analysis cost from size 0 to size 3.
 
 Every generated app carries a :class:`~repro.corpus.synth.GroundTruth`
 manifest; :func:`score_detection` turns detector output + manifest into
-recall/precision, which the bench gate tracks across commits.
+recall/precision, which the ``corpus_smoke`` tests gate.
 """
 
 from __future__ import annotations

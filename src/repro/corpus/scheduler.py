@@ -82,7 +82,6 @@ _KILL_GRACE_S = 5.0
 #: what an analysis child (``_execute_app``) imports on demand
 _FORK_PRELOAD = (
     "repro.cli",
-    "repro.perf",
     "repro.obs.history",
     "repro.cache.store",
     "repro.cache.substrate",

@@ -277,7 +277,7 @@ tr.open + tr .evidence { display: block; }
     <div class="card"><table id="profile-table"></table>
       <p class="note">per-stage wall time, attribution coverage, and the
       most expensive attributed unit — recorded by analyses run with
-      profiling enabled (repro profile / repro bench --profile)</p></div>
+      profiling enabled (repro profile --history)</p></div>
   </section>
   <section>
     <h2>Stage timings across runs</h2>

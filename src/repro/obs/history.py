@@ -4,9 +4,10 @@ A single run's output answers "what did this run find"; production
 operation needs "what *changed* since the last run, and is the pipeline
 getting slower" (the diff-based reporting shape RacerD deploys at scale).
 This module is the cross-run pillar under that question: every
-``--history``-enabled ``repro analyze`` / ``repro corpus-analyze`` /
-``repro bench`` appends one run to a stdlib-``sqlite3`` ledger, and
-:mod:`repro.obs.diffing` / :mod:`repro.obs.dashboard` read it back.
+``--history``-enabled ``repro analyze`` / ``repro profile`` /
+``repro corpus-analyze`` run and every ``repro serve`` job appends one
+run to a stdlib-``sqlite3`` ledger, and :mod:`repro.obs.diffing` /
+:mod:`repro.obs.dashboard` read it back.
 
 Per run the ledger records:
 
@@ -61,9 +62,10 @@ LEDGER_BUSY_TIMEOUT_S = 5.0
 #: app name of the aggregate row a batch run writes alongside per-app rows
 AGGREGATE_APP = "*"
 
-#: run kinds, for filtering ("bench" runs gate timings, "analyze"/"corpus"
-#: runs carry fingerprinted races; "serve" runs are daemon jobs — one run
-#: per analysis request, same row shape as "analyze")
+#: run kinds, for filtering ("analyze"/"corpus" runs carry fingerprinted
+#: races; "serve" runs are daemon jobs — one run per analysis request, same
+#: row shape as "analyze"; "bench" runs, stage timings and counters with no
+#: races, are only found in older ledgers and stay readable)
 KIND_ANALYZE = "analyze"
 KIND_CORPUS = "corpus"
 KIND_BENCH = "bench"
@@ -188,6 +190,18 @@ def race_row(report) -> Dict[str, object]:
         "priority": report.priority,
         "verdict": verdict,
         "report": SierraReport._report_dict(report),
+    }
+
+
+def collect_stage_timings(result) -> Dict[str, float]:
+    """Per-stage wall clock of a :class:`~repro.core.SierraResult`, as
+    ledger app rows and ``RUN_report.json`` records carry it."""
+    report = result.report
+    return {
+        "cg_pa": round(report.time_cg_pa, 4),
+        "hbg": round(report.time_hbg, 4),
+        "refutation": round(report.time_refutation, 4),
+        "total": round(report.time_total, 4),
     }
 
 
@@ -366,7 +380,6 @@ class RunLedger:
         still the current one.
         """
         from repro.obs import metrics
-        from repro.perf.bench import collect_stage_timings
 
         report = result.report
         metrics_blob = metrics.registry().collect()

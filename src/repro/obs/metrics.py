@@ -3,11 +3,10 @@
 Substrates register metrics **where they live** — the HB builder owns
 ``hb.closure_ops``, the points-to solver owns
 ``pointsto.worklist_iterations``, the refutation engine owns
-``refutation.*`` — and every consumer (``BENCH_pipeline.json`` via
-:func:`repro.perf.bench.collect_counters`, ``RUN_report.json`` via the
-corpus driver, an operator poking at ``registry().collect()``) reads
-from this one source of truth instead of plumbing ad-hoc dicts through
-result objects.
+``refutation.*`` — and every consumer (``RUN_report.json`` and ledger
+rows via :func:`collect_counters`, the exact effort-counter test, an
+operator poking at ``registry().collect()``) reads from this one source
+of truth instead of plumbing ad-hoc dicts through result objects.
 
 Instruments are process-local and cheap (an attribute add per
 ``inc``/``observe``). One pipeline run is one scrape window: the
@@ -316,3 +315,31 @@ def histogram(
 def reset_run() -> None:
     """Start a new scrape window (the detector calls this per analyze)."""
     _default_registry.reset()
+
+
+#: RUN_report.json counter vocabulary → the registry metric each one
+#: scrapes. Substrates register these where the work happens
+#: (``core/hb.py``, ``analysis/pointsto.py``, ``core/refute.py``,
+#: ``core/detector.py``); this table is only the rename into the stable
+#: report schema.
+COUNTER_METRICS: Dict[str, str] = {
+    "harnesses": "sierra.harnesses",
+    "actions": "sierra.actions",
+    "hb_edges": "sierra.hb_edges",
+    "closure_ops": "hb.closure_ops",
+    "pointsto_worklist_iterations": "pointsto.worklist_iterations",
+    "refutation_nodes_expanded": "refutation.nodes_expanded",
+    "refutation_cache_hits": "refutation.cache_hits",
+}
+
+
+def collect_counters() -> Dict[str, int]:
+    """Substrate effort counters of the most recent pipeline run.
+
+    ``Sierra.analyze`` opens a fresh scrape window (:func:`reset_run`)
+    per run, so the registry holds exactly the finished run's effort.
+    """
+    return {
+        key: int(_default_registry.value(name))
+        for key, name in COUNTER_METRICS.items()
+    }

@@ -478,8 +478,8 @@ def collapsed_stacks(summary: Dict[str, object]) -> str:
 
 def parse_collapsed(text: str) -> List[Tuple[Tuple[str, ...], int]]:
     """Parse collapsed-stack text back into ``(frames, microseconds)``
-    rows; raises ``ValueError`` on any malformed line (the bench gate
-    uses this to reject a broken flamegraph export with exit 2)."""
+    rows; raises ``ValueError`` on any malformed line (``repro profile
+    --flamegraph`` uses this to refuse writing a broken export)."""
     rows: List[Tuple[Tuple[str, ...], int]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

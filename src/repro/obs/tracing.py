@@ -20,10 +20,10 @@ Timestamps are microseconds relative to the earliest event in the
 collection (`time.perf_counter` is CLOCK_MONOTONIC on Linux — one clock
 across forked processes, so worker spans need no skew correction).
 
-:func:`validate_chrome_trace` is the schema gate the perf harness
-(``benchmarks/run_bench.py``) runs against every emitted trace: required
-keys, numeric monotonic timestamps per track, and balanced, properly
-nested B/E pairs.
+:func:`validate_chrome_trace` is the schema check the trace tests run
+against every emitted trace (``tests/obs/test_tracing.py`` and the
+``perf_smoke`` export test): required keys, numeric monotonic timestamps
+per track, and balanced, properly nested B/E pairs.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class TraceCollector:
 
 
 # ----------------------------------------------------------------------
-# schema validation (the run_bench.py gate and the perf_smoke tests)
+# schema validation (the trace tests)
 # ----------------------------------------------------------------------
 _REQUIRED_KEYS = ("name", "ph", "ts", "pid", "tid")
 

@@ -10,8 +10,8 @@ ledger. Workers call the detector as a library (forked per job for
 fault isolation) against the shared persistent substrate cache, so
 repeat submissions warm-start; results land in the ledger as ordinary
 runs, which is what makes serve-mode output diffable against CLI
-one-shot runs (`repro diff`) — the fingerprint-equivalence gate the
-bench suite enforces.
+one-shot runs (`repro diff`) — the fingerprint equivalence
+``tests/serve/test_serve.py`` pins.
 
 See ``docs/operations.md`` ("Serving") for endpoints, the job
 lifecycle, and exit/HTTP code conventions.

@@ -362,9 +362,9 @@ class TransitiveClosure(Generic[N]):
 class NaiveTransitiveClosure(Generic[N]):
     """The original per-node Python-``set`` closure.
 
-    Kept as the reference implementation: the property tests check the
-    bitset closure against it, and ``repro.perf`` uses it as the baseline
-    when measuring the bitset speedup. Semantically identical to
+    Kept as the reference implementation: the property tests and the SHBG
+    rule-pipeline equivalence tests (``tests/core/test_hb.py``) check the
+    bitset closure against it. Semantically identical to
     :class:`TransitiveClosure`.
     """
 

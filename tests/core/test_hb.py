@@ -4,6 +4,7 @@ import pytest
 
 from repro.android.lifecycle import EXPECTED_LIFECYCLE_HB, EXPECTED_LIFECYCLE_UNORDERED
 from repro.android import install_framework, Apk, Manifest
+from repro.cli import load_app
 from repro.core import Sierra, SierraOptions, build_shbg, extract_actions, generate_harnesses
 from repro.core.actions import ActionKind
 from repro.ir.builder import ProgramBuilder
@@ -281,7 +282,13 @@ class TestClosureImplementationEquivalence:
     produce identical graphs — rule 6 takes a different code path per
     closure, so this locks the fast path to the reference sweep."""
 
-    @pytest.mark.parametrize("builder", [full_lifecycle_apk])
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            full_lifecycle_apk,
+            pytest.param(lambda: load_app("paper:K-9 Mail"), id="paper:K-9_Mail"),
+        ],
+    )
     def test_generic_vs_bitset_rule_pipeline(self, builder):
         from repro.util.graph import NaiveTransitiveClosure
 

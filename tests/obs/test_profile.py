@@ -1,6 +1,6 @@
 """Cost-attribution profiler: attribution conservation, flamegraph
-round-trip, the provably-zero-cost disabled path, and serial == sharded
-attribution equivalence.
+round-trip, the provably-zero-cost disabled path, serial == sharded
+attribution equivalence, and the ``repro profile`` command.
 
 The conservation tests pin the acceptance criterion of the profiler:
 attributed unit costs must tile the measured stage spans (within
@@ -9,6 +9,8 @@ to the time that actually passed.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -163,3 +165,26 @@ class TestSerialEqualsSharded:
         assert serial["totals"]["refute.candidate"]["count"] == (
             sharded["totals"]["refute.candidate"]["count"]
         )
+
+
+@pytest.mark.profile_smoke
+class TestProfileCli:
+    def test_profile_command_writes_json_and_flamegraph(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.obs.profile import parse_collapsed
+
+        flame = tmp_path / "out.txt"
+        assert main(["profile", "quickstart", "--json",
+                     "--flamegraph", str(flame)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["app"] == "quickstart"
+        assert summary["coverage"] > 0.0
+        rows = parse_collapsed(flame.read_text())
+        assert rows and rows[0][0][0] == "sierra"
+
+    def test_profile_command_renders_tables(self, capsys):
+        from repro.cli import main
+
+        assert main(["profile", "quickstart", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "coverage" in out and "points-to cost by method" in out

@@ -124,7 +124,6 @@ def test_unknown_names_still_raise_attribute_error():
 #: the modules a forked analysis child imports on demand
 FORK_PRELOADED = (
     "repro.cli",
-    "repro.perf",
     "repro.obs.history",
     "repro.cache.store",
     "repro.cache.substrate",
