@@ -17,6 +17,7 @@ the same over the reproduction's corpus:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import signal
@@ -126,45 +127,26 @@ def _history_path(args: argparse.Namespace) -> Optional[str]:
     return obs.history_path_from_env(getattr(args, "history", None))
 
 
-class _TraceSession:
-    """Context manager wiring ``--trace`` / ``--trace-memory`` around a run:
-    installs a :class:`TraceCollector` hook, optionally enables per-span
-    memory capture, and writes the Chrome trace-event file on exit."""
-
-    def __init__(self, path: Optional[str], memory: bool, app: str):
-        self.path = path
-        self.memory = memory
-        self.app = app
-        self.collector: Optional[obs.TraceCollector] = None
-
-    def __enter__(self) -> "_TraceSession":
-        if self.path:
-            self.collector = obs.TraceCollector(process_name=f"sierra:{self.app}")
-            obs.add_hook(self.collector)
-            if self.memory:
-                obs.set_memory_capture(True)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.collector is None:
-            return
-        obs.remove_hook(self.collector)
-        if self.memory:
-            obs.set_memory_capture(False)
-        if exc[0] is None:
-            self.collector.write(self.path)
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 def cmd_analyze(args: argparse.Namespace) -> int:
     apk = load_app(args.app)
     options = _options_from(args)
+    # --trace records the run; without it no hook is installed at all
+    recorder = (
+        obs.Recorder(capture_memory=args.trace_memory) if args.trace else None
+    )
     started = time.monotonic()
-    with _TraceSession(args.trace, args.trace_memory, apk.name) as trace:
+    with recorder or contextlib.nullcontext():
         result = Sierra(options).analyze(apk)
     elapsed = time.monotonic() - started
+    if recorder is not None:
+        from repro.obs.tracing import write_chrome_trace
+
+        traced = write_chrome_trace(
+            args.trace, recorder.events, f"sierra:{apk.name}"
+        )
     report = result.report
 
     if options.only_field and report.racy_pairs_selected == 0:
@@ -191,9 +173,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ledger.record_analysis(run_id, apk.name, result, elapsed_s=elapsed)
         print(f"recorded run {run_id} in {history}", file=sys.stderr)
 
-    if trace.collector is not None:
+    if recorder is not None:
         print(
-            f"wrote {args.trace} ({len(trace.collector.events)} events; "
+            f"wrote {args.trace} ({traced} events; "
             "load in chrome://tracing or https://ui.perfetto.dev)",
             file=sys.stderr,
         )

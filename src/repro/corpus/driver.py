@@ -10,9 +10,11 @@ corpus app with **per-app fault isolation**:
   or a death); a hung app is killed and recorded as ``timeout``, a
   crashed one as ``error`` with the full traceback — the batch always
   continues;
-* the per-app :class:`repro.obs.Recorder` captures the detector's stage
-  events, warnings, and degradation signals (e.g. the refutation pool
-  falling back to serial) and ships them back to the parent;
+* each app's obs events — the detector's stages, warnings, and
+  degradation signals (e.g. the refutation pool falling back to serial)
+  — are kept on its record: a forked worker streams them to the parent
+  as they happen, an in-process run records them with a
+  :class:`repro.obs.Recorder`;
 * the run emits a structured ``RUN_report.json`` (schema below) and a
   meaningful exit code: 0 when every app is ``ok``, 1 otherwise.
 
@@ -77,8 +79,7 @@ class AppRunRecord:
     stages: Dict[str, float] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     report: Dict[str, int] = field(default_factory=dict)
-    warnings: List[str] = field(default_factory=list)
-    degradations: List[str] = field(default_factory=list)
+    #: the app's obs events (``RunEvent.to_dict`` form), in emission order
     events: List[Dict[str, object]] = field(default_factory=list)
     #: {"type", "message", "traceback"} for error/timeout statuses
     error: Optional[Dict[str, str]] = None
@@ -88,6 +89,25 @@ class AppRunRecord:
     #: their durable home, the JSON report stays a summary
     races: List[Dict[str, object]] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # one rule for isolated, in-process and serve records: warnings,
+        # degradations and the ok -> degraded step are read off the events
+        if self.status == STATUS_OK and self.degradations:
+            self.status = STATUS_DEGRADED
+
+    def _messages(self, kind: str) -> List[str]:
+        return [
+            str(e.get("message", "")) for e in self.events if e.get("kind") == kind
+        ]
+
+    @property
+    def warnings(self) -> List[str]:
+        return self._messages(obs.WARNING)
+
+    @property
+    def degradations(self) -> List[str]:
+        return self._messages(obs.DEGRADED)
 
     @property
     def ok(self) -> bool:
@@ -100,8 +120,8 @@ class AppRunRecord:
             "stages": dict(self.stages),
             "counters": dict(self.counters),
             "report": dict(self.report),
-            "warnings": list(self.warnings),
-            "degradations": list(self.degradations),
+            "warnings": self.warnings,
+            "degradations": self.degradations,
             "events": list(self.events),
             "error": dict(self.error) if self.error else None,
             "isolated": self.isolated,
@@ -186,6 +206,7 @@ def _execute_app(
 
     Raises whatever the pipeline raises — the caller decides whether that
     crosses a process boundary (isolated mode) or a try/except (inline).
+    Installs no obs hook: the caller owns the app's event list.
     """
     from repro.cli import load_app
     from repro.core import Sierra, SierraOptions
@@ -195,7 +216,7 @@ def _execute_app(
     # bind the app for the extent of the analysis: every detector-stage
     # log line (bridged off the obs bus) carries it, in this process or
     # a forked worker alike
-    with obs_log.bind(app=name), obs.Recorder() as recorder:
+    with obs_log.bind(app=name):
         if inject_fail:
             raise RuntimeError(f"injected failure for {name!r} (--inject-fail)")
         if inject_hang_s > 0:
@@ -222,16 +243,13 @@ def _execute_app(
         # with the metrics so the ledger (and repro diff blame) sees it
         metrics_blob["profile"] = result.profile
     return {
-        "status": STATUS_DEGRADED if recorder.degraded else STATUS_OK,
+        "status": STATUS_OK,
         "stages": collect_stage_timings(result),
         "counters": metrics.collect_counters(),
         "report": {
             "racy_pairs": report.racy_pairs,
             "races_after_refutation": report.races_after_refutation,
         },
-        "warnings": recorder.warnings(),
-        "degradations": recorder.degradations(),
-        "events": recorder.to_dicts(),
         # ledger rows, computed here where the report objects live: the
         # parent records them without re-running the analysis
         "races": [race_row(r) for r in report.reports],
@@ -258,13 +276,16 @@ def _run_one_inline(
     inject_cache_corrupt: bool = False,
 ) -> AppRunRecord:
     t0 = time.perf_counter()
-    try:
-        payload = _execute_app(
-            name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
-        )
-    except Exception as exc:
-        payload = _error_payload(exc)
-    record = AppRunRecord(app=name, **_record_kwargs(payload))
+    with obs.Recorder() as recorder:
+        try:
+            payload = _execute_app(
+                name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
+            )
+        except Exception as exc:
+            payload = _error_payload(exc)
+    record = AppRunRecord(
+        app=name, events=recorder.to_dicts(), **_record_kwargs(payload)
+    )
     record.elapsed_s = time.perf_counter() - t0
     record.isolated = False
     return record
@@ -617,16 +638,27 @@ def run_corpus(
         )
         t0 = time.perf_counter()
 
-        def ledger_app(record: AppRunRecord) -> None:
-            ledger.record_app(
-                run.run_id,
-                record.app,
-                status=record.status,
-                elapsed_s=record.elapsed_s,
-                stages=record.stages,
-                metrics=record.metrics,
-                races=record.races,
-            )
+        def flush(batch: List[AppRunRecord]) -> None:
+            """Stream a burst of finished apps out, in completion order:
+            one ledger transaction per burst, then the caller's
+            per-record progress callback."""
+            if ledger is not None:
+                with ledger.batch():
+                    for record in batch:
+                        ledger.record_app(
+                            run.run_id,
+                            record.app,
+                            status=record.status,
+                            elapsed_s=record.elapsed_s,
+                            stages=record.stages,
+                            metrics=record.metrics,
+                            races=record.races,
+                        )
+            for record in batch:
+                observe_prediction(record)
+            if progress is not None:
+                for record in batch:
+                    progress(record)
 
         if mp_context is not None:
             from repro.corpus import scheduler as sched
@@ -659,20 +691,6 @@ def run_corpus(
                 else None
             )
 
-            def flush(batch: List[AppRunRecord]) -> None:
-                """Stream a burst of finished apps out, in completion
-                order: one ledger transaction per burst, then the
-                caller's per-record progress callback."""
-                if ledger is not None:
-                    with ledger.batch():
-                        for record in batch:
-                            ledger_app(record)
-                for record in batch:
-                    observe_prediction(record)
-                if progress is not None:
-                    for record in batch:
-                        progress(record)
-
             run.records = sched.run_sharded(
                 mp_context,
                 items,
@@ -697,11 +715,7 @@ def run_corpus(
                     error_type=record.error.get("type") if record.error else None,
                 )
                 run.records.append(record)
-                if ledger is not None:
-                    ledger_app(record)
-                observe_prediction(record)
-                if progress is not None:
-                    progress(record)
+                flush([record])
         run.elapsed_s = time.perf_counter() - t0
         if cost_model is not None:
             run.cost_model = _cost_model_block(

@@ -25,9 +25,10 @@ the parent from a size-aware plan:
   busiest bin, the classic steal that keeps the plan's locality while
   fixing its estimation errors.
 * **Streaming:** workers ship obs events live through their pipe
-  (:class:`_PipeStreamer`) and results as they complete; the parent
-  flushes finished apps to the ledger in completion order, so an
-  operator tailing the ledger sees progress, not a final dump.
+  (:class:`_PipeStreamer`; the record keeps that one copy) and results
+  as they complete; the parent flushes finished apps to the ledger in
+  completion order, so an operator tailing the ledger sees progress,
+  not a final dump.
 * **Isolation:** per-app wall-clock deadlines are enforced by the parent
   (a stuck worker is killed, the app recorded as ``timeout`` with the
   partial event trail naming the stuck stage, and the shard re-forked
@@ -69,12 +70,6 @@ from repro.obs import log as obs_log
 from repro.obs import metrics
 
 _log = obs_log.get_logger("corpus.scheduler")
-
-#: obs-bus event kinds the scheduler emits (unknown to the trace collector,
-#: visible to recorders and the log bridge)
-EVENT_SHARD_START = "corpus.shard.start"
-EVENT_SHARD_STEAL = "corpus.shard.steal"
-EVENT_SHARD_FINISH = "corpus.shard.finish"
 
 #: seconds a terminated worker gets before escalating to SIGKILL
 _KILL_GRACE_S = 5.0
@@ -430,10 +425,11 @@ class Worker:
             if kind == "event":
                 self.events.append(body)
                 continue
-            record = AppRunRecord(app=self.current.name, **_record_kwargs(body))
-            if not record.events:
-                record.events = self.events
-            return self._finish(record)
+            return self._finish(
+                AppRunRecord(
+                    app=self.current.name, events=self.events, **_record_kwargs(body)
+                )
+            )
 
     def expire(self) -> AppRunRecord:
         """Kill the child (past its deadline): the ``timeout`` record."""
@@ -559,13 +555,6 @@ def run_sharded(
         item, stolen_from = taken
         if stolen_from is not None:
             steal_counter.inc()
-            obs.emit(
-                obs.RunEvent(
-                    kind=EVENT_SHARD_STEAL,
-                    stage=item.name,
-                    detail={"shard": worker.index, "victim": stolen_from},
-                )
-            )
             obs_log.event(
                 _log, "shard.steal", app=item.name,
                 shard=worker.index, victim=stolen_from,
@@ -573,14 +562,9 @@ def run_sharded(
         worker.send(item, options_dict, timeout_s)
         queue_gauge.set(plan.remaining())
         busy_gauge.set(sum(1 for w in pool if w.current is not None))
-        obs.emit(
-            obs.RunEvent(
-                kind=EVENT_SHARD_START,
-                stage=item.name,
-                detail={"shard": worker.index, "cost": item.cost},
-            )
+        obs_log.event(
+            _log, "app.start", app=item.name, shard=worker.index, cost=item.cost
         )
-        obs_log.event(_log, "app.start", app=item.name, shard=worker.index)
         if progress is not None:
             progress.start(worker.index, item.name)
 
@@ -588,14 +572,6 @@ def run_sharded(
         """Account one finished item on ``worker`` and refill it."""
         records[item.index] = record
         app_seconds.observe(record.elapsed_s)
-        obs.emit(
-            obs.RunEvent(
-                kind=EVENT_SHARD_FINISH,
-                stage=item.name,
-                seconds=record.elapsed_s,
-                detail={"shard": worker.index, "status": record.status},
-            )
-        )
         obs_log.event(
             _log, "app.finish",
             level=logging.INFO if record.ok else logging.WARNING,

@@ -31,7 +31,6 @@ from repro.obs.diagnostics import (
     STAGE_END,
     STAGE_START,
     Span,
-    StageTimer,
     WARNING,
     add_hook,
     emit,
@@ -39,7 +38,6 @@ from repro.obs.diagnostics import (
     emit_warning,
     reemit,
     remove_hook,
-    set_memory_capture,
     span,
     stage,
 )
@@ -49,7 +47,7 @@ _LAZY_MODULES = frozenset({"dashboard", "diffing", "history", "telemetry", "trac
 
 #: names re-exported from a lazily imported submodule
 _LAZY_NAMES = {
-    "TraceCollector": "tracing",
+    "chrome_trace": "tracing",
     "validate_chrome_trace": "tracing",
     "validate_trace_file": "tracing",
 }
@@ -86,10 +84,9 @@ __all__ = [
     "STAGE_END",
     "STAGE_START",
     "Span",
-    "StageTimer",
-    "TraceCollector",
     "WARNING",
     "add_hook",
+    "chrome_trace",
     "dashboard",
     "diffing",
     "emit",
@@ -101,7 +98,6 @@ __all__ = [
     "profile",
     "reemit",
     "remove_hook",
-    "set_memory_capture",
     "span",
     "stage",
     "telemetry",

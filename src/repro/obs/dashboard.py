@@ -272,13 +272,6 @@ tr.open + tr .evidence { display: block; }
     <h2>SLO alert history</h2>
     <div class="card"><table id="alerts-table"></table></div>
   </section>
-  <section id="profile-section" hidden>
-    <h2 id="profile-title">Cost attribution</h2>
-    <div class="card"><table id="profile-table"></table>
-      <p class="note">per-stage wall time, attribution coverage, and the
-      most expensive attributed unit — recorded by analyses run with
-      profiling enabled (repro profile --history)</p></div>
-  </section>
   <section>
     <h2>Stage timings across runs</h2>
     <div class="card" id="stage-trend"></div>
@@ -590,7 +583,6 @@ function simpleTable(table, headers, rows) {
         b.textContent = cell.badge;
         td.appendChild(b);
       } else td.textContent = cell == null ? "–" : String(cell);
-      if (cell && cell.mono) td.className = "fp";
       tr.appendChild(td);
     });
     table.appendChild(tr);
@@ -699,47 +691,6 @@ function simpleTable(table, headers, rows) {
       fmt(a.value), fmt(a.threshold),
     ]),
   );
-})();
-
-// -------------------------------------------- cost-attribution panel
-(function profilePanel() {
-  // the profiler's most expensive unit per pipeline stage
-  const STAGE_KIND = {cg_pa: "pointsto.method", hbg: "hb.rule",
-                      refutation: "refute.field"};
-  // RUNS is oldest-first; the newest run carrying any per-app
-  // attribution summary wins
-  for (const run of [...RUNS].reverse()) {
-    const rows = [];
-    for (const [app, rec] of Object.entries(perAppRows(run))) {
-      const prof = (rec.metrics || {}).profile;
-      if (!prof || !prof.stages) continue;
-      for (const [stage, kind] of Object.entries(STAGE_KIND)) {
-        const st = prof.stages[stage];
-        if (!st) continue;
-        const units = (prof.units || {})[kind] || [];
-        const top = units.length
-          ? `${units[0].name} (${fmt(units[0].seconds)}s)` : "–";
-        rows.push([
-          app, stage, fmt(st.seconds),
-          {badge: `${(100 * (st.coverage ?? 0)).toFixed(1)}%`,
-           bad: (st.coverage ?? 0) < 0.5},
-          {mono: true, toString: () => top},
-        ]);
-      }
-      rows.push([app, "self-overhead", fmt(prof.self_overhead_s),
-                 null, `${prof.charges ?? 0} charges, ${prof.events ?? 0} events`]);
-    }
-    if (!rows.length) continue;
-    document.getElementById("profile-section").hidden = false;
-    document.getElementById("profile-title").textContent =
-      `Cost attribution (run ${shortRun(run)})`;
-    simpleTable(
-      document.getElementById("profile-table"),
-      ["app", "stage", "seconds", "coverage", "most expensive unit"],
-      rows,
-    );
-    return;
-  }
 })();
 
 // ------------------------------------------------- provenance render

@@ -9,8 +9,8 @@ hook bus instead of ``print`` or — worse — silence:
   candidate, one points-to worklist round) is wrapped in :func:`span`,
   which emits ``span_start``/``span_end`` pairs carrying a span id and
   the id of the enclosing span — together the events form a tree that
-  :class:`repro.obs.tracing.TraceCollector` exports as a Chrome
-  trace-event file;
+  :func:`repro.obs.tracing.chrome_trace` exports as a Chrome trace-event
+  file;
 * fallback paths that *lose* something (a crashed refutation worker pool
   degrading to serial, a retry) emit ``warning`` / ``degraded`` events
   via :func:`emit_warning` / :func:`emit_degraded` instead of a bare
@@ -31,9 +31,10 @@ own ids can never collide with ids minted in the parent. Events shipped
 back across the process boundary therefore reattach to the parent's
 span tree with no translation.
 
-The corpus driver (``repro corpus-analyze``) installs a
-:class:`Recorder` around each per-app run and ships the events back to
-the parent process as the app's entry in ``RUN_report.json``.
+The corpus driver (``repro corpus-analyze``) keeps each app's events
+as its entry in ``RUN_report.json``: a forked analysis child streams
+them to the parent as they happen, an in-process run records them with
+a :class:`Recorder`.
 """
 
 from __future__ import annotations
@@ -118,10 +119,25 @@ Hook = Callable[[RunEvent], None]
 
 _hooks: List[Hook] = []
 
+#: capture peak-RSS (and tracemalloc, when tracing) at span end: on while
+#: any installed hook asks for it (``capture_memory``). Off by default —
+#: ``getrusage`` per span is cheap but not free, and the corpus driver's
+#: event lists should not grow for runs that never export a trace.
+_capture_memory = False
+
+
+def _refresh_memory_capture() -> None:
+    global _capture_memory
+    _capture_memory = any(getattr(h, "capture_memory", False) for h in _hooks)
+
 
 def add_hook(hook: Hook) -> None:
-    """Install ``hook``; it receives every subsequent :class:`RunEvent`."""
+    """Install ``hook``; it receives every subsequent :class:`RunEvent`.
+
+    A hook with a true ``capture_memory`` attribute turns on per-span
+    memory capture (see :class:`Span`) for as long as it is installed."""
     _hooks.append(hook)
+    _refresh_memory_capture()
 
 
 def remove_hook(hook: Hook) -> None:
@@ -141,6 +157,7 @@ def remove_hook(hook: Hook) -> None:
             stage="obs",
             hook=repr(hook),
         )
+    _refresh_memory_capture()
 
 
 def emit(event: RunEvent) -> None:
@@ -182,17 +199,6 @@ _span_counter = itertools.count(1)
 #: ids of currently-open spans in this process; a fork inherits a copy,
 #: which is exactly what parents worker-side spans onto the right node
 _span_stack: List[str] = []
-
-#: capture peak-RSS (and tracemalloc, when tracing) at span end. Off by
-#: default — ``getrusage`` per span is cheap but not free, and the corpus
-#: driver's event lists should not grow for runs that never export a trace.
-_capture_memory = False
-
-
-def set_memory_capture(enabled: bool) -> None:
-    """Toggle per-span memory capture (see :class:`Span`)."""
-    global _capture_memory
-    _capture_memory = enabled
 
 
 def _new_span_id() -> str:
@@ -241,11 +247,6 @@ class Span:
 
     def set(self, **attrs: object) -> None:
         self.attrs.update(attrs)
-
-
-#: legacy alias — the stage() context manager used to yield a StageTimer
-#: with just .name and .seconds; Span is a superset of that interface
-StageTimer = Span
 
 
 @contextmanager
@@ -332,11 +333,13 @@ class Recorder:
 
     The context manager is idempotent: exiting twice (or exiting after a
     manual :func:`remove_hook`) uninstalls at most once and never trips
-    the unbalanced-removal warning.
+    the unbalanced-removal warning. ``capture_memory=True`` adds peak-RSS
+    figures to every span end while the recorder is installed.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, capture_memory: bool = False) -> None:
         self.events: List[RunEvent] = []
+        self.capture_memory = capture_memory
         self._installed = False
 
     # -- hook protocol -------------------------------------------------
@@ -366,28 +369,6 @@ class Recorder:
     @property
     def degraded(self) -> bool:
         return bool(self.of_kind(DEGRADED))
-
-    def stage_seconds(self) -> Dict[str, float]:
-        """Per-stage wall clock, **summed** over occurrences.
-
-        A stage that runs more than once per process (e.g. a refutation
-        retry after a pool crash) used to silently keep only the last
-        duration; occurrences now accumulate — :meth:`stage_counts` says
-        how many there were.
-        """
-        out: Dict[str, float] = {}
-        for event in self.of_kind(STAGE_END):
-            if event.stage is not None and event.seconds is not None:
-                out[event.stage] = out.get(event.stage, 0.0) + event.seconds
-        return out
-
-    def stage_counts(self) -> Dict[str, int]:
-        """How many times each stage completed (pairs with stage_seconds)."""
-        out: Dict[str, int] = {}
-        for event in self.of_kind(STAGE_END):
-            if event.stage is not None:
-                out[event.stage] = out.get(event.stage, 0) + 1
-        return out
 
     def to_dicts(self) -> List[Dict[str, object]]:
         return [event.to_dict() for event in self.events]

@@ -152,6 +152,9 @@ class Profiler:
     dominate the work being measured).
     """
 
+    #: per-span memory capture is on while a profiler is installed
+    capture_memory = True
+
     def __init__(self, top_k: int = 40, _calibrated: bool = False):
         self.top_k = top_k
         # stage -> {"seconds", "count", "mem"}
@@ -382,8 +385,6 @@ def install(profiler: Profiler) -> None:
         # stale profiler (e.g. inherited across a fork): displace it
         diagnostics.remove_hook(_active)
     _active = profiler
-    profiler._prev_memory_capture = diagnostics._capture_memory
-    diagnostics.set_memory_capture(True)
     diagnostics.add_hook(profiler)
 
 
@@ -391,9 +392,6 @@ def uninstall(profiler: Profiler) -> None:
     global _active
     if _active is profiler:
         _active = None
-    diagnostics.set_memory_capture(
-        getattr(profiler, "_prev_memory_capture", False)
-    )
     diagnostics.remove_hook(profiler)
 
 

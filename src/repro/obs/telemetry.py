@@ -14,8 +14,9 @@ JSON scrapes):
   percentiles). Memory is bounded by ``capacity`` no matter how long
   the daemon lives; ``GET /v1/telemetry`` and the dashboard's live
   panels read :meth:`~TelemetrySampler.snapshot`;
-* :class:`SloWatchdog` — a background evaluator of declared
-  :class:`SloObjective` s over the ring buffer. Each objective is a
+* :class:`SloWatchdog` — an evaluator of declared :class:`SloObjective`
+  s over the ring buffer, run by the sampler's thread after every
+  sample (``on_sample``). Each objective is a
   rolling burn-rate check: over the last ``window_s`` of samples, the
   fraction that violate the threshold must stay below
   ``burn_threshold`` — a single latency spike does not flip the daemon,
@@ -188,7 +189,9 @@ class TelemetrySampler:
     ``jobs_completed_total`` values, and appends under a lock; memory is
     bounded by ``capacity`` samples forever. A ``source`` that raises
     drops that tick (counted in ``dropped_samples``) — telemetry must
-    never take the daemon down.
+    never take the daemon down. ``on_sample``, when set, runs on the
+    sampler's thread after every tick (the daemon points it at
+    :meth:`SloWatchdog.evaluate_once`); what it raises is swallowed too.
     """
 
     def __init__(
@@ -204,6 +207,7 @@ class TelemetrySampler:
         self.interval_s = interval_s
         self.capacity = capacity
         self.dropped_samples = 0
+        self.on_sample: Optional[Callable[[], object]] = None
         self._source = source
         self._samples: Deque[Dict[str, object]] = deque(maxlen=capacity)
         self._lock = threading.Lock()
@@ -226,6 +230,11 @@ class TelemetrySampler:
     def _loop(self) -> None:
         while not self._stop.wait(self.interval_s):
             self.sample_once()
+            if self.on_sample is not None:
+                try:
+                    self.on_sample()
+                except Exception:  # noqa: BLE001 — the thread must outlive bugs
+                    pass
 
     # -- sampling ------------------------------------------------------
     def sample_once(self) -> Optional[Dict[str, object]]:
@@ -381,7 +390,10 @@ def objectives_with_overrides(
 
 
 class SloWatchdog:
-    """Background evaluator of :class:`SloObjective` s over the sampler.
+    """Evaluator of :class:`SloObjective` s over the sampler's buffer.
+
+    It owns no thread: :meth:`evaluate_once` runs wherever it is called
+    — in the daemon, on the sampler's thread after every sample.
 
     ``on_alert(kind, violation)`` fires on every transition —
     ``kind`` is ``"firing"`` or ``"resolved"`` — which is where the
@@ -394,37 +406,13 @@ class SloWatchdog:
         self,
         sampler: TelemetrySampler,
         objectives: Sequence[SloObjective] = (),
-        interval_s: float = 1.0,
         on_alert: Optional[Callable[[str, Dict[str, object]], None]] = None,
     ) -> None:
         self.objectives = tuple(objectives) or default_objectives()
         self._sampler = sampler
-        self.interval_s = interval_s
         self._on_alert = on_alert
         self._lock = threading.Lock()
         self._violations: Dict[str, Dict[str, object]] = {}
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._loop, daemon=True, name="repro-slo-watchdog"
-        )
-        self._thread.start()
-
-    def stop(self, timeout_s: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout_s)
-            self._thread = None
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.evaluate_once()
-            except Exception:  # noqa: BLE001 — the watchdog must outlive bugs
-                pass
 
     # -- evaluation ----------------------------------------------------
     @staticmethod

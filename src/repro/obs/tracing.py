@@ -1,13 +1,13 @@
 """Chrome trace-event export for the diagnostics span tree.
 
-:class:`TraceCollector` is an ordinary :mod:`repro.obs` hook: install it
-around a pipeline run (``repro analyze <app> --trace out.json`` does) and
-it turns stage/span events into Chrome trace-event JSON — loadable in
-``chrome://tracing`` or https://ui.perfetto.dev — with one track per
-process: the main pipeline on the parent pid, each refutation pool
-worker on its own pid (their spans are shipped back through the result
-pipe and re-emitted, timestamps intact, so they land on the timeline
-exactly where they ran).
+:func:`chrome_trace` is a view of a recorded event list: record a
+pipeline run with a :class:`repro.obs.Recorder` (``repro analyze <app>
+--trace out.json`` does) and it turns the stage/span events into Chrome
+trace-event JSON — loadable in ``chrome://tracing`` or
+https://ui.perfetto.dev — with one track per process: the main pipeline
+on the parent pid, each refutation pool worker on its own pid (their
+spans are shipped back through the result pipe and re-emitted,
+timestamps intact, so they land on the timeline exactly where they ran).
 
 Mapping:
 
@@ -16,9 +16,10 @@ Mapping:
   attributes — and memory capture, when enabled — in ``args``),
 * ``warning``/``degraded``       → ``ph: "i"`` (instant, thread scope).
 
-Timestamps are microseconds relative to the earliest event in the
-collection (`time.perf_counter` is CLOCK_MONOTONIC on Linux — one clock
-across forked processes, so worker spans need no skew correction).
+Other event kinds are skipped. Timestamps are microseconds relative to
+the earliest exported event (`time.perf_counter` is CLOCK_MONOTONIC on
+Linux — one clock across forked processes, so worker spans need no skew
+correction).
 
 :func:`validate_chrome_trace` is the schema check the trace tests run
 against every emitted trace (``tests/obs/test_tracing.py`` and the
@@ -29,7 +30,7 @@ per track, and balanced, properly nested B/E pairs.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.obs.diagnostics import (
     DEGRADED,
@@ -62,65 +63,58 @@ _CATEGORY = {
 }
 
 
-class TraceCollector:
-    """An obs hook that accumulates events for Chrome trace export."""
-
-    def __init__(self, process_name: str = "sierra") -> None:
-        self.events: List[RunEvent] = []
-        self.process_name = process_name
-
-    def __call__(self, event: RunEvent) -> None:
-        if event.kind in _PHASE:
-            self.events.append(event)
-
-    # ------------------------------------------------------------------
-    def chrome_events(self) -> List[Dict[str, object]]:
-        """The collected events as Chrome trace-event dicts."""
-        if not self.events:
-            return []
-        epoch = min(e.ts for e in self.events if e.ts is not None)
-        out: List[Dict[str, object]] = []
-        for pid in sorted({e.pid for e in self.events if e.pid is not None}):
-            out.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": pid,
-                    "args": {"name": self.process_name},
-                }
-            )
-        for event in self.events:
-            args: Dict[str, object] = dict(event.detail)
-            if event.span_id is not None:
-                args["span_id"] = event.span_id
-            if event.parent_id is not None:
-                args["parent_id"] = event.parent_id
-            if event.mem is not None:
-                args.update(event.mem)
-            if event.message:
-                args["message"] = event.message
-            record: Dict[str, object] = {
-                "name": event.stage or event.kind,
-                "cat": _CATEGORY[event.kind],
-                "ph": _PHASE[event.kind],
-                "ts": round(((event.ts or epoch) - epoch) * 1e6, 1),
-                "pid": event.pid or 0,
-                "tid": event.pid or 0,
-                "args": args,
+def chrome_trace(
+    events: Sequence[RunEvent], process_name: str = "sierra"
+) -> Dict[str, object]:
+    """``events`` as a Chrome trace-event object (``{"traceEvents": [...]}``)."""
+    events = [e for e in events if e.kind in _PHASE]
+    epoch = min((e.ts for e in events if e.ts is not None), default=0.0)
+    out: List[Dict[str, object]] = []
+    for pid in sorted({e.pid for e in events if e.pid is not None}):
+        out.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": pid,
+                "args": {"name": process_name},
             }
-            if _PHASE[event.kind] == "i":
-                record["s"] = "t"  # instant-event scope: thread
-            out.append(record)
-        return out
+        )
+    for event in events:
+        args: Dict[str, object] = dict(event.detail)
+        if event.span_id is not None:
+            args["span_id"] = event.span_id
+        if event.parent_id is not None:
+            args["parent_id"] = event.parent_id
+        if event.mem is not None:
+            args.update(event.mem)
+        if event.message:
+            args["message"] = event.message
+        record: Dict[str, object] = {
+            "name": event.stage or event.kind,
+            "cat": _CATEGORY[event.kind],
+            "ph": _PHASE[event.kind],
+            "ts": round(((event.ts or epoch) - epoch) * 1e6, 1),
+            "pid": event.pid or 0,
+            "tid": event.pid or 0,
+            "args": args,
+        }
+        if _PHASE[event.kind] == "i":
+            record["s"] = "t"  # instant-event scope: thread
+        out.append(record)
+    return {"traceEvents": out, "displayTimeUnit": "ms"}
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"traceEvents": self.chrome_events(), "displayTimeUnit": "ms"}
 
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+def write_chrome_trace(
+    path: str, events: Sequence[RunEvent], process_name: str = "sierra"
+) -> int:
+    """Write :func:`chrome_trace` to ``path``; returns how many events it
+    exported (process-name metadata not counted)."""
+    trace = chrome_trace(events, process_name)
+    with open(path, "w") as fh:
+        json.dump(trace, fh, indent=1)
+        fh.write("\n")
+    return sum(1 for e in trace["traceEvents"] if e["ph"] != "M")
 
 
 # ----------------------------------------------------------------------

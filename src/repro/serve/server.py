@@ -372,7 +372,6 @@ class ServeDaemon:
         sample_interval_s: float = 1.0,
         sample_capacity: int = 600,
         slo: Optional[Dict[str, float]] = None,
-        slo_interval_s: float = 1.0,
     ) -> None:
         self.history = history
         self.store = JobStore(history)
@@ -430,16 +429,17 @@ class ServeDaemon:
         self._g_uptime = metrics.gauge(
             "serve.uptime_seconds", "seconds since daemon start"
         )
-        # telemetry: ring-buffer sampler + SLO watchdog over it
+        # telemetry: one thread samples into the ring buffer, then
+        # evaluates the SLO watchdog over it
         self.sampler = TelemetrySampler(
             self._sample, interval_s=sample_interval_s, capacity=sample_capacity
         )
         self.watchdog = SloWatchdog(
             self.sampler,
             objectives=telemetry.objectives_with_overrides(job_timeout_s, slo),
-            interval_s=slo_interval_s,
             on_alert=self._on_alert,
         )
+        self.sampler.on_sample = self.watchdog.evaluate_once
 
     # -- telemetry plumbing ---------------------------------------------
     def refresh_gauges(self) -> Tuple[Dict[str, int], list]:
@@ -548,7 +548,6 @@ class ServeDaemon:
         self.started_monotonic = time.monotonic()
         self.pool.start()
         self.sampler.start()
-        self.watchdog.start()
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -563,9 +562,8 @@ class ServeDaemon:
         )
 
     def stop(self) -> None:
-        # telemetry first: the watchdog/sampler read the store and pool,
-        # which must still be alive while their threads wind down
-        self.watchdog.stop()
+        # telemetry first: the sampler (and the watchdog it runs) reads
+        # the store and pool, which must still be alive while it winds down
         self.sampler.stop()
         if self._httpd is not None:
             self._httpd.shutdown()

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from repro.cli import is_known_app, main
+from repro.core import SierraOptions
 from repro.corpus.driver import (
+    STATUS_DEGRADED,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_TIMEOUT,
+    AppRunRecord,
     default_corpus,
     run_corpus,
 )
+from repro.obs import log as obs_log
 
 #: fast apps: the whole file's batches stay in the low seconds
 SMALL = ["quickstart", "dbapp"]
@@ -128,6 +133,86 @@ class TestNestedParallelism:
         assert record.status == STATUS_OK
         assert record.degradations == []
         assert run.exit_code == 0
+
+
+class TestRecordViews:
+    """A record's warnings, degradations and ``degraded`` status are read
+    off its events, whatever ended the app."""
+
+    def test_failed_records_keep_the_warnings_in_their_events(self):
+        record = AppRunRecord(
+            "x", STATUS_TIMEOUT, events=[{"kind": "warning", "message": "m"}]
+        )
+        assert record.warnings == ["m"]
+        assert record.status == STATUS_TIMEOUT
+        assert record.to_dict()["warnings"] == ["m"]
+
+    def test_ok_record_with_a_degraded_event_reads_degraded(self):
+        record = AppRunRecord(
+            "x", STATUS_OK, events=[{"kind": "degraded", "message": "serial"}]
+        )
+        assert record.status == STATUS_DEGRADED
+        assert record.degradations == ["serial"]
+        assert record.warnings == []
+
+
+class TestIsolationEquivalence:
+    def test_isolated_and_inline_runs_record_the_same_events(self, tmp_path):
+        apps = ["quickstart", "newsreader"]
+        by_mode = {}
+        for isolate in (True, False):
+            cache_dir = tmp_path / ("isolated" if isolate else "inline")
+            run = run_corpus(
+                apps=apps,
+                isolate=isolate,
+                options=SierraOptions(cache_dir=str(cache_dir)),
+                inject_cache_corrupt=["newsreader"],
+            )
+            by_mode[isolate] = {r.app: r for r in run.records}
+        for app in apps:
+            isolated, inline = by_mode[True][app], by_mode[False][app]
+            assert isolated.status == inline.status
+            assert [(e["kind"], e.get("stage")) for e in isolated.events] == [
+                (e["kind"], e.get("stage")) for e in inline.events
+            ]
+            assert isolated.warnings == inline.warnings
+            assert isolated.degradations == inline.degradations
+        assert any(
+            "injected cache corruption" in w
+            for w in by_mode[True]["newsreader"].warnings
+        )
+
+
+class TestLifecycleLog:
+    @pytest.mark.parametrize(
+        "mode",
+        [{"shards": 1}, {"shards": 2}, {"isolate": False}],
+        ids=["shards1", "shards2", "inline"],
+    )
+    def test_each_app_logs_one_start_and_one_finish(self, mode):
+        stream = io.StringIO()
+        obs_log.configure(level="info", json_mode=True, stream=stream)
+        try:
+            run_corpus(apps=SMALL, **mode)
+        finally:
+            obs_log.unconfigure()
+        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+        names = [line["event"] for line in lines]
+        assert names.count("corpus.start") == 1
+        assert names.count("corpus.finish") == 1
+        for app in SMALL:
+            starts = [
+                line for line in lines
+                if line["event"] == "app.start" and line["app"] == app
+            ]
+            finishes = [
+                line for line in lines
+                if line["event"] == "app.finish" and line["app"] == app
+            ]
+            assert len(starts) == 1 and len(finishes) == 1
+            if mode.get("isolate", True):
+                assert "shard" in starts[0]
+                assert starts[0]["cost"] > 0
 
 
 class TestDefaultCorpus:

@@ -8,7 +8,6 @@ import multiprocessing
 
 import pytest
 
-from repro import obs
 from repro.core import SierraOptions
 from repro.corpus import scheduler as sched
 from repro.corpus.driver import (
@@ -150,17 +149,6 @@ class TestDriverIntegration:
         assert data["shards"] == 2
         assert data["effective_parallelism"] == run.effective_parallelism
         assert all(r.status == STATUS_OK for r in run.records)
-
-    def test_shard_events_reach_parent_hooks(self):
-        kinds = []
-        hook = lambda event: kinds.append(event.kind)  # noqa: E731
-        obs.add_hook(hook)
-        try:
-            run_corpus(apps=seeded_corpus(count=2, seed=4, max_size=0), shards=2)
-        finally:
-            obs.remove_hook(hook)
-        assert kinds.count(sched.EVENT_SHARD_START) == 2
-        assert kinds.count(sched.EVENT_SHARD_FINISH) == 2
 
     def test_gauges_zeroed_after_run(self):
         from repro.obs import metrics

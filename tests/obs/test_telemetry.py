@@ -401,16 +401,34 @@ def test_watchdog_alert_transitions_fire_and_resolve():
 
 
 def test_watchdog_background_thread_lifecycle():
+    # the watchdog owns no thread: the sampler's runs it after each sample
     sampler = TelemetrySampler(lambda: {"v": 99}, interval_s=0.01, capacity=50)
     objective = SloObjective(
         name="v", metric="v", threshold=1.0, min_samples=1, window_s=30.0,
     )
+    dog = SloWatchdog(sampler, objectives=(objective,))
+    sampler.on_sample = dog.evaluate_once
     sampler.start()
-    dog = SloWatchdog(sampler, objectives=(objective,), interval_s=0.01)
-    dog.start()
     deadline = time.monotonic() + 5.0
     while dog.status()["status"] == "ok" and time.monotonic() < deadline:
         time.sleep(0.01)
-    dog.stop()
     sampler.stop()
     assert dog.status()["status"] == "degraded"
+
+
+def test_sampler_thread_outlives_a_raising_on_sample():
+    calls = []
+
+    def broken():
+        calls.append(1)
+        raise RuntimeError("watchdog bug")
+
+    sampler = TelemetrySampler(lambda: {"v": 1}, interval_s=0.01, capacity=50)
+    sampler.on_sample = broken
+    sampler.start()
+    deadline = time.monotonic() + 5.0
+    while len(calls) < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    sampler.stop()
+    assert len(calls) >= 3
+    assert len(sampler) >= 3  # sampling went on after the first raise

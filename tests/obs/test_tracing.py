@@ -48,7 +48,7 @@ class TestSpanTree:
 
     def test_span_without_hooks_still_times(self):
         # no Recorder installed: the fast path must mint no ids but keep
-        # the StageTimer contract (detector reads .seconds)
+        # timing (the detector reads .seconds)
         with obs.span("quiet") as sp:
             pass
         assert sp.seconds >= 0
@@ -102,31 +102,29 @@ class TestWorkerSpanReattachment:
         assert all(by_id[e.parent_id].stage == "refute.chunk" for e in candidates)
 
 
-class TestTraceCollector:
-    def _collect(self):
-        collector = obs.TraceCollector(process_name="test")
-        obs.add_hook(collector)
-        try:
+class TestChromeTrace:
+    """The trace is a view of a recorded event list."""
+
+    def _record(self):
+        with obs.Recorder() as rec:
             with obs.stage("hbg", app="x"):
                 with obs.span("hb.rule.R1"):
                     pass
                 obs.emit_warning("w", stage="hbg")
-        finally:
-            obs.remove_hook(collector)
-        return collector
+        return rec.events
 
     def test_emits_valid_chrome_trace(self, tmp_path):
-        collector = self._collect()
+        from repro.obs.tracing import write_chrome_trace
+
         path = tmp_path / "trace.json"
-        collector.write(str(path))
+        assert write_chrome_trace(str(path), self._record(), "test") == 5
         assert obs.validate_trace_file(str(path)) == []
         data = json.loads(path.read_text())
         names = [e["name"] for e in data["traceEvents"] if e["ph"] in "BE"]
         assert names == ["hbg", "hb.rule.R1", "hb.rule.R1", "hbg"]
 
     def test_metadata_and_instants(self):
-        collector = self._collect()
-        events = collector.chrome_events()
+        events = obs.chrome_trace(self._record(), process_name="test")["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         assert meta and meta[0]["args"]["name"] == "test"
         instants = [e for e in events if e["ph"] == "i"]
@@ -134,12 +132,19 @@ class TestTraceCollector:
         assert instants[0]["args"]["message"] == "w"
 
     def test_span_ids_land_in_args(self):
-        events = self._collect().chrome_events()
+        events = obs.chrome_trace(self._record())["traceEvents"]
         rule_begin = next(
             e for e in events if e["name"] == "hb.rule.R1" and e["ph"] == "B"
         )
         assert rule_begin["args"]["span_id"]
         assert rule_begin["args"]["parent_id"]
+
+    def test_other_event_kinds_are_skipped(self):
+        events = self._record()
+        # neither exported nor allowed to move the epoch
+        custom = obs.RunEvent(kind="custom", stage="x", ts=0.0, pid=os.getpid())
+        assert obs.chrome_trace(events + [custom]) == obs.chrome_trace(events)
+        assert obs.chrome_trace([]) == {"traceEvents": [], "displayTimeUnit": "ms"}
 
 
 class TestTraceValidator:
@@ -201,17 +206,25 @@ class TestTraceValidator:
 
 class TestMemoryCapture:
     def test_memory_snapshot_attached_when_enabled(self):
-        obs.set_memory_capture(True)
-        try:
-            with obs.Recorder() as rec:
-                with obs.span("mem"):
-                    pass
-        finally:
-            obs.set_memory_capture(False)
+        with obs.Recorder(capture_memory=True) as rec:
+            with obs.span("mem"):
+                pass
         end = next(e for e in rec.events if e.kind == obs.SPAN_END)
         assert end.mem is not None and end.mem["rss_peak_kb"] > 0
         # detail stays clean: memory rides in its own field
         assert "rss_peak_kb" not in end.detail
+
+    def test_capture_follows_the_hooks_that_ask_for_it(self):
+        with obs.Recorder() as plain:
+            with obs.Recorder(capture_memory=True):
+                with obs.span("asked"):
+                    pass
+            # the asking hook is gone: capture is off again
+            with obs.span("unasked"):
+                pass
+        ends = {e.stage: e.mem for e in plain.events if e.kind == obs.SPAN_END}
+        assert ends["asked"] is not None
+        assert ends["unasked"] is None
 
     def test_memory_capture_off_by_default(self):
         with obs.Recorder() as rec:

@@ -30,7 +30,6 @@ def daemon(tmp_path_factory):
         workers=2,
         port=0,
         sample_interval_s=0.05,
-        slo_interval_s=0.05,
     ) as running:
         yield running
 
@@ -139,7 +138,6 @@ def test_injected_stall_degrades_healthz_and_records_alerts(tmp_path):
         port=0,
         job_timeout_s=2.0,
         sample_interval_s=0.05,
-        slo_interval_s=0.05,
         slo={
             "worker_stall": 0.3,
             "worker_stall.window_s": 0.6,
