@@ -64,10 +64,9 @@ def load_app(name: str) -> Apk:
             + ", ".join(row.name for row in TWENTY_APPS)
         )
     if name.startswith("fdroid:"):
-        index = int(name[len("fdroid:") :])
-        if not 0 <= index < 174:
+        if not is_known_app(name):
             raise SystemExit("fdroid index must be 0..173")
-        apk, _truth = synthesize_app(fdroid_spec(index))
+        apk, _truth = synthesize_app(fdroid_spec(int(name[len("fdroid:") :])))
         return apk
     if name.startswith("family:"):
         from repro.corpus.families import synthesize_family_app
@@ -490,9 +489,6 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 def cmd_corpus_analyze(args: argparse.Namespace) -> int:
     from repro.corpus.driver import run_corpus
 
-    if args.target_url:
-        return _corpus_analyze_remote(args)
-
     def progress(record):
         line = f"[{record.status:>8s}] {record.app} ({record.elapsed_s:.2f}s)"
         if record.error is not None:
@@ -562,64 +558,6 @@ def cmd_corpus_synth(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote {args.out} ({manifest['count']} apps)", file=sys.stderr)
     return 0
-
-
-def _corpus_analyze_remote(args: argparse.Namespace) -> int:
-    """``corpus-analyze --target-url``: load-generate against a daemon."""
-    from repro.corpus.driver import run_corpus_remote
-    from repro.serve import ServeError
-
-    if args.inject_fail or args.inject_hang or args.inject_cache_corrupt:
-        print(
-            "corpus-analyze: fault injection flags are local-mode only "
-            "(submit inject_fail/inject_hang as job options instead)",
-            file=sys.stderr,
-        )
-        return 2
-
-    def progress(record):
-        line = f"[{record.status:>8s}] {record.app} ({record.latency_s:.2f}s)"
-        if record.error is not None:
-            line += f" — {record.error['type']}: {record.error['message']}"
-        print(line, flush=True)
-
-    try:
-        report = run_corpus_remote(
-            apps=args.apps,
-            target_url=args.target_url,
-            options=_options_from(args),
-            concurrency=args.concurrency,
-            timeout_s=args.timeout,
-            progress=progress,
-        )
-    except (ValueError, ServeError) as exc:
-        print(f"corpus-analyze: {exc}", file=sys.stderr)
-        return 2
-    summary = report.summary()
-    print(
-        f"\n{summary['total']} apps via {report.target_url} "
-        f"(concurrency {report.concurrency}) in {summary['elapsed_s']:.1f}s: "
-        f"{summary['done']} done, {summary['failed']} failed"
-    )
-    print(
-        f"throughput {summary['apps_per_s']:.2f} apps/s, latency "
-        f"p50 {summary['latency_p50_s']:.2f}s p99 {summary['latency_p99_s']:.2f}s"
-    )
-    if args.out:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "summary": summary,
-                    "apps": {r.app: r.to_dict() for r in report.records},
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-        print(f"wrote {args.out}")
-    return report.exit_code
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -908,12 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault injection: corrupt every cache entry "
                        "before APP's analysis runs (testing aid, repeatable; "
                        "requires --cache)")
-    batch.add_argument("--target-url", metavar="URL", default=None,
-                       help="load-generator mode: submit the corpus to a "
-                       "running `repro serve` daemon instead of forking "
-                       "locally; records apps/sec and p50/p99 latency")
-    batch.add_argument("--concurrency", type=int, default=4,
-                       help="client threads in --target-url mode (default 4)")
     batch.add_argument("--shards", type=int, default=1,
                        help="worker-pool width for the sharded scheduler "
                        "(default 1; per-shard refutation parallelism is "

@@ -62,7 +62,7 @@ _LAZY_NAMES = {
         ),
         "families",
     ),
-    **dict.fromkeys(("ProgressLine", "WorkItem", "WorkPlan", "core_budget"), "scheduler"),
+    **dict.fromkeys(("ProgressLine", "WorkItem", "core_budget"), "scheduler"),
 }
 
 
@@ -91,7 +91,6 @@ __all__ = [
     "TWENTY_APPS",
     "TWENTY_PAPER_MEDIANS",
     "WorkItem",
-    "WorkPlan",
     "aggregate_scores",
     "build_newsreader_app",
     "build_opensudoku_app",

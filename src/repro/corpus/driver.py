@@ -45,8 +45,10 @@ from repro.obs import log as obs_log
 _log = obs_log.get_logger("corpus.driver")
 
 #: JSON layout version of RUN_report.json (2: run_id/history provenance
-#: block embedded when the batch records into a run-history ledger)
-SCHEMA = 2
+#: block embedded when the batch records into a run-history ledger; 3: the
+#: ``cost_model`` key is gone, since the scheduler orders by static cost
+#: and fits no model)
+SCHEMA = 3
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -145,9 +147,6 @@ class RunReport:
     #: per-shard SierraOptions.parallelism after the core budget (None:
     #: the user's setting rode through unchanged)
     effective_parallelism: Optional[int] = None
-    #: calibrated-cost-model block when a ledger supplied prior
-    #: observations: apps known, fitted scale, prediction error
-    cost_model: Optional[Dict[str, object]] = None
 
     def by_status(self, status: str) -> List[AppRunRecord]:
         return [r for r in self.records if r.status == status]
@@ -179,7 +178,6 @@ class RunReport:
             "history": self.history_path,
             "shards": self.shards,
             "effective_parallelism": self.effective_parallelism,
-            "cost_model": self.cost_model,
             "apps": {r.app: r.to_dict() for r in self.records},
             "summary": self.summary(),
         }
@@ -313,201 +311,6 @@ def _sum_stages(records: List[AppRunRecord]) -> Dict[str, float]:
     return {stage: round(s, 6) for stage, s in sorted(totals.items())}
 
 
-# ----------------------------------------------------------------------
-# remote mode: the driver as a load generator against `repro serve`
-# ----------------------------------------------------------------------
-@dataclass
-class RemoteAppRecord:
-    """Outcome of one app submitted to a serve daemon."""
-
-    app: str
-    status: str  # done | failed
-    job_id: Optional[str] = None
-    run_id: Optional[str] = None
-    #: client-observed submit→terminal latency (queue wait included: this
-    #: is what a caller of the service actually experiences)
-    latency_s: float = 0.0
-    error: Optional[Dict[str, str]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "status": self.status,
-            "job_id": self.job_id,
-            "run_id": self.run_id,
-            "latency_s": round(self.latency_s, 4),
-            "error": dict(self.error) if self.error else None,
-        }
-
-
-@dataclass
-class RemoteRunReport:
-    """Aggregate outcome of one ``--target-url`` load run."""
-
-    target_url: str
-    concurrency: int
-    records: List[RemoteAppRecord] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    def latencies(self) -> List[float]:
-        return [r.latency_s for r in self.records]
-
-    def summary(self) -> Dict[str, object]:
-        from repro.serve import percentile
-
-        latencies = self.latencies()
-        done = sum(1 for r in self.records if r.status == "done")
-        return {
-            "total": len(self.records),
-            "done": done,
-            "failed": len(self.records) - done,
-            "elapsed_s": round(self.elapsed_s, 4),
-            "apps_per_s": (
-                round(len(self.records) / self.elapsed_s, 3) if self.elapsed_s else 0.0
-            ),
-            "latency_p50_s": round(percentile(latencies, 50), 4),
-            "latency_p99_s": round(percentile(latencies, 99), 4),
-            "latency_max_s": round(max(latencies), 4) if latencies else 0.0,
-            "exit_code": self.exit_code,
-        }
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if all(r.status == "done" for r in self.records) else 1
-
-
-def run_corpus_remote(
-    apps: Optional[Sequence[str]] = None,
-    target_url: str = "",
-    options=None,
-    concurrency: int = 4,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-    progress: Optional[Callable[[RemoteAppRecord], None]] = None,
-) -> RemoteRunReport:
-    """Drive a ``repro serve`` daemon with the corpus: the load generator.
-
-    Submits every app as a job from ``concurrency`` client threads, polls
-    each to a terminal status, and records the client-observed latency
-    (apps/sec, p50/p99). Unknown app names raise :class:`ValueError` up
-    front (same contract as the local batch); an unreachable daemon raises
-    :class:`~repro.serve.ServeError` before anything is submitted.
-    """
-    import queue as queue_mod
-    import threading
-
-    from repro.cli import is_known_app
-    from repro.serve import ServeClient, ServeError
-
-    names = list(apps) if apps else default_corpus()
-    unknown = [n for n in names if not is_known_app(n)]
-    if unknown:
-        raise ValueError(
-            "unknown corpus app(s): " + ", ".join(repr(n) for n in unknown)
-        )
-    concurrency = max(1, min(int(concurrency), len(names)))
-
-    client = ServeClient(target_url, timeout_s=min(timeout_s, 30.0))
-    client.health()  # connection refused must fail the run up front
-
-    job_options: Dict[str, object] = {}
-    if options is not None:
-        from repro.serve import ALLOWED_JOB_OPTIONS
-
-        job_options = {
-            k: v
-            for k, v in dataclasses.asdict(options).items()
-            if k in ALLOWED_JOB_OPTIONS
-        }
-
-    todo: "queue_mod.Queue[str]" = queue_mod.Queue()
-    for name in names:
-        todo.put(name)
-    report = RemoteRunReport(target_url=client.base_url, concurrency=concurrency)
-    results_lock = threading.Lock()
-
-    def drive() -> None:
-        while True:
-            try:
-                name = todo.get_nowait()
-            except queue_mod.Empty:
-                return
-            t0 = time.perf_counter()
-            try:
-                job = client.submit(name, job_options)
-                final = client.wait(str(job["job_id"]), timeout_s=timeout_s)
-                record = RemoteAppRecord(
-                    app=name,
-                    status=str(final["status"]),
-                    job_id=str(job["job_id"]),
-                    run_id=final.get("run_id"),
-                    latency_s=time.perf_counter() - t0,
-                    error=final.get("error"),
-                )
-            except ServeError as exc:
-                record = RemoteAppRecord(
-                    app=name,
-                    status="failed",
-                    latency_s=time.perf_counter() - t0,
-                    error={"type": "ServeError", "message": str(exc)},
-                )
-            with results_lock:
-                report.records.append(record)
-            if progress is not None:
-                progress(record)
-
-    t0 = time.perf_counter()
-    threads = [
-        threading.Thread(target=drive, daemon=True, name=f"loadgen-{i}")
-        for i in range(concurrency)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.elapsed_s = time.perf_counter() - t0
-    report.records.sort(key=lambda r: r.app)
-    return report
-
-
-def _cost_model_block(cost_model, names, predictions) -> Dict[str, object]:
-    """JSON block + registry histogram for the calibrated cost model.
-
-    The ``corpus.cost_model.predicted_vs_actual`` histogram observes the
-    calibrated model's relative prediction error per completed app; the
-    block also scores the *static* model on the same apps, so a test can
-    verify calibration tightened prediction error instead of taking it on
-    faith.
-    """
-    from repro.obs import metrics
-
-    block: Dict[str, object] = {
-        "calibrated_apps": sum(1 for n in names if cost_model.knows(n)),
-        "scale_s_per_cost": round(cost_model.scale_s_per_cost, 6),
-        "blend": cost_model.blend,
-    }
-    if predictions:
-        hist = metrics.histogram(
-            "corpus.cost_model.predicted_vs_actual",
-            "relative error |predicted - actual| / actual of the calibrated "
-            "scheduler cost model",
-            buckets=(0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0),
-        )
-        calibrated_errs = []
-        static_errs = []
-        for predicted, static_predicted, actual in predictions:
-            err = abs(predicted - actual) / actual
-            hist.observe(err)
-            calibrated_errs.append(err)
-            static_errs.append(abs(static_predicted - actual) / actual)
-        block["predictions"] = len(predictions)
-        block["mean_abs_rel_err"] = round(
-            sum(calibrated_errs) / len(calibrated_errs), 4
-        )
-        block["static_mean_abs_rel_err"] = round(
-            sum(static_errs) / len(static_errs), 4
-        )
-    return block
-
-
 def run_corpus(
     apps: Optional[Sequence[str]] = None,
     options=None,
@@ -524,13 +327,13 @@ def run_corpus(
 ) -> RunReport:
     """Run the pipeline over ``apps`` (default: the full corpus).
 
-    Isolated batches run on the sharded work-stealing scheduler
+    Isolated batches run on the sharded scheduler
     (:mod:`repro.corpus.scheduler`): a persistent pool of ``shards``
-    forked workers pulls apps largest-predicted-cost-first, stealing from
-    the busiest shard when idle. Each app still runs under ``timeout_s``;
-    a worker crash, analysis exception, or hang is recorded on that app's
-    :class:`AppRunRecord` (and the shard respawned) while the batch moves
-    on. With ``shards > 1`` the per-worker ``SierraOptions.parallelism``
+    forked workers takes apps from one queue, largest static cost
+    (:func:`~repro.corpus.families.estimate_cost`) first. Each app still
+    runs under ``timeout_s``; a worker crash, analysis exception, or hang
+    is recorded on that app's :class:`AppRunRecord` (and the shard
+    respawned) while the batch moves on. With ``shards > 1`` the per-worker ``SierraOptions.parallelism``
     is capped by the core budget (``max(1, cores // shards)``) so the pool
     cannot oversubscribe the machine; the cap is reported as
     ``effective_parallelism``. ``isolate=False`` (or a platform without
@@ -593,30 +396,6 @@ def run_corpus(
         # must fail the batch up front, not after 20 apps of work
         ledger = RunLedger(history)
 
-    from repro.corpus.families import estimate_cost
-    from repro.corpus.specs import CalibratedCostModel
-
-    static_costs = {name: estimate_cost(name) for name in names}
-    # when the ledger has prior observations, binpacking and the ETA use
-    # observed cost blended with the static estimate; a cold ledger (or
-    # none) degrades to the static model unchanged
-    cost_model = None
-    if ledger is not None:
-        model = CalibratedCostModel.from_ledger(ledger, estimate_cost)
-        if model.calibrated:
-            cost_model = model
-    predictions: List[tuple] = []  # (calibrated_s, static_s, actual_s)
-
-    def observe_prediction(record: AppRunRecord) -> None:
-        if cost_model is None or not record.ok or record.elapsed_s <= 0:
-            return
-        static = static_costs.get(record.app, 0.0)
-        predicted = cost_model.predict_seconds(record.app, static)
-        if predicted:
-            predictions.append(
-                (predicted, cost_model.scale_s_per_cost * static, record.elapsed_s)
-            )
-
     run = RunReport(
         timeout_s=timeout_s,
         isolated=mp_context is not None,
@@ -654,14 +433,13 @@ def run_corpus(
                             metrics=record.metrics,
                             races=record.races,
                         )
-            for record in batch:
-                observe_prediction(record)
             if progress is not None:
                 for record in batch:
                     progress(record)
 
         if mp_context is not None:
             from repro.corpus import scheduler as sched
+            from repro.corpus.families import estimate_cost
 
             requested = int(options_dict.get("parallelism") or 1)
             effective_options = options_dict
@@ -674,11 +452,7 @@ def run_corpus(
                 sched.WorkItem(
                     index=i,
                     name=name,
-                    cost=(
-                        cost_model.cost(name, static_costs[name])
-                        if cost_model is not None
-                        else static_costs[name]
-                    ),
+                    cost=estimate_cost(name),
                     inject_fail=name in inject_fail,
                     inject_hang_s=hang_s if name in inject_hang else 0.0,
                     inject_cache_corrupt=name in inject_cache_corrupt,
@@ -717,10 +491,6 @@ def run_corpus(
                 run.records.append(record)
                 flush([record])
         run.elapsed_s = time.perf_counter() - t0
-        if cost_model is not None:
-            run.cost_model = _cost_model_block(
-                cost_model, names, predictions
-            )
         obs_log.event(_log, "corpus.finish", run_id=run.run_id, **run.summary())
         if ledger is not None:
             ledger.record_app(

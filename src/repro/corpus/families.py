@@ -210,7 +210,7 @@ def corpus_manifest(names: Iterable[str]) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# cost model (scheduler binpacking)
+# cost estimate (the scheduler's largest-first queue)
 # ----------------------------------------------------------------------
 
 #: fallback cost for apps with no spec (hand-built figure apps are tiny)

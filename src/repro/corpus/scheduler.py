@@ -10,20 +10,14 @@ an :class:`~repro.corpus.driver.AppRunRecord`: the child's payload, a
 thread may cancel it (SIGTERM, then SIGKILL after a grace). The serve
 daemon runs each job on a fresh one-task ``Worker``; :func:`run_sharded`
 runs a corpus batch on a persistent pool of ``shards`` of them, fed by
-the parent from a size-aware plan:
+the parent from one queue:
 
-* **Binpacking (LPT):** apps are ranked by predicted cost and assigned
-  largest-first to the least-loaded shard, so the expensive tail starts
-  early instead of straggling at the end. The driver prices each
-  :class:`WorkItem` with :func:`~repro.corpus.families.estimate_cost`,
-  blended with observed per-app wall time from the run-history ledger
-  when one is attached (:class:`repro.corpus.specs.CalibratedCostModel`)
-  — both the bin assignment and the ``--progress`` ETA consume the
-  calibrated costs, and a cold ledger falls back to the static estimate.
-* **Work stealing:** a shard that drains its own deque steals from the
-  *tail* of the most-loaded remaining shard — the cheapest item of the
-  busiest bin, the classic steal that keeps the plan's locality while
-  fixing its estimation errors.
+* **Largest first:** apps are sorted once by predicted cost
+  (:func:`~repro.corpus.families.estimate_cost`, the same static estimate
+  the ``--progress`` ETA reads), largest first, ties in input order. Each
+  shard that finishes an app takes the queue's head, so the expensive
+  tail starts early instead of straggling at the end, and no shard idles
+  while work is queued.
 * **Streaming:** workers ship obs events live through their pipe
   (:class:`_PipeStreamer`; the record keeps that one copy) and results
   as they complete; the parent flushes finished apps to the ledger in
@@ -41,13 +35,11 @@ each running refutation at ``SierraOptions.parallelism R``, ``P*R``
 processes can exceed the machine. :func:`core_budget` divides the cores
 across shards (inner parallelism ``max(1, cores // shards)``), and the
 driver rewrites the options it hands workers accordingly.
-
-Scheduling state (:class:`WorkPlan`) is pure and process-free, so the
-binpacking and steal policy are unit-testable without forking anything.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import importlib
 import logging
@@ -57,7 +49,7 @@ import sys
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _conn_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.corpus.driver import (
@@ -67,7 +59,6 @@ from repro.corpus.driver import (
     _record_kwargs,
 )
 from repro.obs import log as obs_log
-from repro.obs import metrics
 
 _log = obs_log.get_logger("corpus.scheduler")
 
@@ -106,7 +97,7 @@ def core_budget(shards: int, requested: int = 1, cores: Optional[int] = None) ->
 
 
 # ----------------------------------------------------------------------
-# the plan: pure scheduling state
+# work items
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WorkItem:
@@ -121,59 +112,6 @@ class WorkItem:
     #: internal testing aid: the worker hard-exits before analyzing —
     #: exercises the WorkerDied/respawn path without a real crash
     inject_crash: bool = False
-
-
-class WorkPlan:
-    """LPT binpacking + tail stealing over ``shards`` deques.
-
-    Each shard owns one deque, sorted descending by cost; it consumes from
-    the *head* (largest first). An idle shard steals from the *tail* of
-    the most-loaded other shard (its cheapest remaining item). All state
-    lives here, mutated only by the parent — no locks, no shared memory.
-    """
-
-    def __init__(self, items: Sequence[WorkItem], shards: int) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self.bins: List[List[WorkItem]] = [[] for _ in range(shards)]
-        self._loads = [0.0] * shards
-        # LPT: largest first into the least-loaded bin. Ties break on the
-        # original index so the plan is deterministic for equal costs.
-        for item in sorted(items, key=lambda it: (-it.cost, it.index)):
-            shard = min(range(shards), key=lambda s: (self._loads[s], s))
-            self.bins[shard].append(item)
-            self._loads[shard] += item.cost
-        self.steals = 0
-
-    def remaining(self) -> int:
-        return sum(len(b) for b in self.bins)
-
-    def remaining_cost(self) -> float:
-        return sum(self._loads)
-
-    def load_of(self, shard: int) -> float:
-        return self._loads[shard]
-
-    def take(self, shard: int) -> Optional[Tuple[WorkItem, Optional[int]]]:
-        """Next item for ``shard``: its own head, else a steal.
-
-        Returns ``(item, stolen_from)`` — ``stolen_from`` is ``None`` for
-        local work, the victim shard index for a steal — or ``None`` when
-        the whole plan is drained.
-        """
-        if self.bins[shard]:
-            item = self.bins[shard].pop(0)
-            self._loads[shard] -= item.cost
-            return item, None
-        victims = [s for s in range(self.shards) if self.bins[s]]
-        if not victims:
-            return None
-        victim = max(victims, key=lambda s: (self._loads[s], -s))
-        item = self.bins[victim].pop()  # tail: the victim's cheapest item
-        self._loads[victim] -= item.cost
-        self.steals += 1
-        return item, victim
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +293,7 @@ class Worker:
 
     def __init__(self, mp_context, index: int = 0, fork_guard=None) -> None:
         self.mp_context = mp_context
-        self.index = index  # the shard's bin in the plan
+        self.index = index  # the shard number, for logs and --progress
         self.fork_guard = fork_guard
         self.proc = None
         self.conn = None
@@ -532,36 +470,20 @@ def run_sharded(
     the shard re-forks for its next item.
     """
     shards = max(1, min(int(shards), max(1, len(items))))
-    plan = WorkPlan(items, shards)
+    queue = collections.deque(sorted(items, key=lambda it: (-it.cost, it.index)))
     total = len(items)
     records: Dict[int, AppRunRecord] = {}  # input index -> record
-    queue_gauge = metrics.gauge("corpus.queue_depth", "undispatched corpus apps")
-    busy_gauge = metrics.gauge("corpus.busy_workers", "shards running an app")
-    steal_counter = metrics.counter("corpus.steals", "work-steal dispatches")
-    app_seconds = metrics.histogram(
-        "corpus.app_seconds", "per-app wall clock", buckets=metrics.TIME_BUCKETS
-    )
-    queue_gauge.set(plan.remaining())
-    busy_gauge.set(0)
 
     pool = [Worker(mp_context, index=i) for i in range(shards)]
 
     def dispatch(worker: Worker) -> None:
-        """Hand the worker its next item, or stop it when the plan is dry."""
-        taken = plan.take(worker.index)
-        if taken is None:
+        """Hand the worker the queue's head, or stop it when the queue is
+        empty."""
+        if not queue:
             worker.close()
             return
-        item, stolen_from = taken
-        if stolen_from is not None:
-            steal_counter.inc()
-            obs_log.event(
-                _log, "shard.steal", app=item.name,
-                shard=worker.index, victim=stolen_from,
-            )
+        item = queue.popleft()
         worker.send(item, options_dict, timeout_s)
-        queue_gauge.set(plan.remaining())
-        busy_gauge.set(sum(1 for w in pool if w.current is not None))
         obs_log.event(
             _log, "app.start", app=item.name, shard=worker.index, cost=item.cost
         )
@@ -571,7 +493,6 @@ def run_sharded(
     def settle(worker: Worker, item: WorkItem, record: AppRunRecord) -> None:
         """Account one finished item on ``worker`` and refill it."""
         records[item.index] = record
-        app_seconds.observe(record.elapsed_s)
         obs_log.event(
             _log, "app.finish",
             level=logging.INFO if record.ok else logging.WARNING,
@@ -590,7 +511,7 @@ def run_sharded(
     try:
         while len(records) < total:
             busy = [w for w in pool if w.current is not None]
-            if not busy:  # defensive: plan drained but records missing
+            if not busy:  # defensive: queue drained but records missing
                 raise RuntimeError(
                     f"scheduler stalled: {len(records)}/{total} records"
                 )
@@ -610,14 +531,11 @@ def run_sharded(
                 item = worker.current
                 if item is not None and now >= worker.deadline:
                     settle(worker, item, worker.expire())
-            busy_gauge.set(sum(1 for w in pool if w.current is not None))
             if finished and on_batch is not None:
                 on_batch(finished)
     finally:
         for worker in pool:
             worker.close()
-        queue_gauge.set(0)
-        busy_gauge.set(0)
         if progress is not None:
             progress.close()
 

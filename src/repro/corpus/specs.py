@@ -10,7 +10,7 @@ paper-vs-measured side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 
@@ -126,10 +126,10 @@ class SynthSpec:
 
 
 #: rough action-count contribution of each idiom instance — the corpus
-#: scheduler's binpacking cost model (``estimated_actions``). The absolute
-#: values matter less than the *ratios*: they only have to rank apps by
-#: analysis cost well enough that largest-first scheduling front-loads the
-#: expensive ones.
+#: scheduler's cost estimate (``estimated_actions``). The absolute values
+#: matter less than the *ratios*: they only have to rank apps by analysis
+#: cost well enough that the largest-first queue front-loads the expensive
+#: ones.
 _IDIOM_ACTION_WEIGHTS: Dict[str, float] = {
     "evrace": 2.0,  # two GUI handlers
     "bgrace": 4.0,  # click listener + doInBackground + onPostExecute + reader
@@ -153,8 +153,8 @@ _ACTIVITY_BASE_ACTIONS = 5.0
 def estimated_actions(spec: SynthSpec) -> float:
     """Predicted action count of ``spec`` — **without synthesizing it**.
 
-    The sharded corpus scheduler sizes its bins with this (largest-first
-    binpacking), so it must be cheap: arithmetic over the density fields
+    The sharded corpus scheduler orders its queue by this (largest
+    first), so it must be cheap: arithmetic over the density fields
     only. Chains scale with their depth (each relay task is two more
     callbacks); everything else is a per-instance weight.
     """
@@ -163,90 +163,6 @@ def estimated_actions(spec: SynthSpec) -> float:
         total += weight * float(getattr(spec, field_name, 0) or 0)
     total += 2.0 * float(spec.chains) * max(1, spec.chain_depth)
     return total
-
-
-#: weight of the observed (ledger) cost vs the static estimate for apps
-#: the model has seen before; unseen apps use the static estimate alone
-DEFAULT_BLEND = 0.7
-
-
-@dataclass
-class CalibratedCostModel:
-    """Observed-cost calibration of :func:`estimated_actions`.
-
-    The sharded scheduler binpacks on predicted cost. The static model
-    (``estimated_actions``) only has to *rank* apps, but its error still
-    costs wall time: a mis-ranked heavy app scheduled last leaves shards
-    idle. This model closes the loop from the profiler/ledger: when the
-    run-history ledger has a prior observation for an app name (e.g.
-    ``family:<f>:<size>:<seed>``), the observed wall seconds are
-    converted back into "cost units" via a robust (median-ratio) fitted
-    scale and blended with the static estimate; unseen apps fall back to
-    the static estimate unchanged, so a cold ledger degrades to exactly
-    the PR 9 behavior.
-
-    The model's state *is* the ledger — it is re-fitted from the most
-    recent per-app rows at batch start, so every completed run tightens
-    the next run's predictions (``corpus.cost_model.predicted_vs_actual``
-    tracks the error).
-    """
-
-    #: most recent observed wall seconds per app name
-    observed_s: Dict[str, float] = field(default_factory=dict)
-    #: fitted seconds per static cost unit (median observed/static ratio)
-    scale_s_per_cost: float = 0.0
-    blend: float = DEFAULT_BLEND
-
-    @classmethod
-    def fit(
-        cls,
-        observed_s: Dict[str, float],
-        static_costs: Dict[str, float],
-        blend: float = DEFAULT_BLEND,
-    ) -> "CalibratedCostModel":
-        """Fit the seconds-per-cost scale from apps with both an
-        observation and a positive static estimate. The median ratio is
-        robust to the odd timeout-shaped outlier in the ledger."""
-        ratios = sorted(
-            seconds / static_costs[name]
-            for name, seconds in observed_s.items()
-            if static_costs.get(name, 0.0) > 0.0 and seconds > 0.0
-        )
-        scale = ratios[len(ratios) // 2] if ratios else 0.0
-        return cls(observed_s=dict(observed_s), scale_s_per_cost=scale, blend=blend)
-
-    @classmethod
-    def from_ledger(
-        cls, ledger, static_cost, blend: float = DEFAULT_BLEND
-    ) -> "CalibratedCostModel":
-        """Fit from a :class:`repro.obs.history.RunLedger` (anything with
-        ``recent_app_costs()``); ``static_cost`` maps an app name to its
-        static estimate (:func:`repro.corpus.families.estimate_cost`)."""
-        observed = ledger.recent_app_costs()
-        static = {name: float(static_cost(name)) for name in observed}
-        return cls.fit(observed, static, blend=blend)
-
-    @property
-    def calibrated(self) -> bool:
-        return self.scale_s_per_cost > 0.0 and bool(self.observed_s)
-
-    def knows(self, name: str) -> bool:
-        """Does the ledger have a usable prior observation for ``name``?"""
-        return self.calibrated and name in self.observed_s
-
-    def cost(self, name: str, static_cost: float) -> float:
-        """Predicted cost units for ``name``: observed blended with static
-        when known, the static estimate verbatim otherwise."""
-        if not self.knows(name):
-            return static_cost
-        observed_cost = self.observed_s[name] / self.scale_s_per_cost
-        return self.blend * observed_cost + (1.0 - self.blend) * static_cost
-
-    def predict_seconds(self, name: str, static_cost: float) -> Optional[float]:
-        """Predicted wall seconds for ``name`` (None when uncalibrated)."""
-        if not self.calibrated:
-            return None
-        return self.cost(name, static_cost) * self.scale_s_per_cost
 
 
 def _scale(value: float, minimum: int = 0) -> int:

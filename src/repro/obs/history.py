@@ -556,32 +556,6 @@ class RunLedger:
             }
         return out
 
-    def recent_app_costs(self, limit_rows: int = 2000) -> Dict[str, float]:
-        """Most recent observed wall seconds per app name, newest first.
-
-        Feeds :class:`repro.corpus.specs.CalibratedCostModel`: the
-        scheduler's binpacking consults these observations for app names
-        the ledger has seen before. Failed/timed-out rows are excluded
-        (their elapsed measures the failure budget, not the app), as is
-        the per-run aggregate row.
-        """
-        out: Dict[str, float] = {}
-        for row in self._query(
-            "SELECT ar.app AS app, ar.elapsed_s AS elapsed_s, ar.status AS status "
-            "FROM app_runs ar JOIN runs r ON r.run_id = ar.run_id "
-            "ORDER BY r.ts_utc DESC, r.rowid DESC, ar.rowid DESC LIMIT ?",
-            [limit_rows],
-        ):
-            app = str(row["app"])
-            if app == AGGREGATE_APP or app in out:
-                continue
-            if row["status"] not in ("ok", "degraded"):
-                continue
-            elapsed = row["elapsed_s"]
-            if isinstance(elapsed, (int, float)) and elapsed > 0:
-                out[app] = float(elapsed)
-        return out
-
     def races(self, run_id: str, with_reports: bool = False) -> List[Dict[str, object]]:
         """Race rows of one run, ranked order within each app."""
         out = []

@@ -17,7 +17,7 @@ See ``docs/operations.md`` ("Serving") for endpoints, the job
 lifecycle, and exit/HTTP code conventions.
 """
 
-from repro.serve.client import ServeClient, ServeError, percentile, serve_url_from_env
+from repro.serve.client import ServeClient, ServeError, serve_url_from_env
 from repro.serve.jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobStore
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, SERVE_URL_ENV, ServeDaemon
 from repro.serve.workers import ALLOWED_JOB_OPTIONS, WorkerPool, merge_job_options
@@ -38,6 +38,5 @@ __all__ = [
     "ServeError",
     "WorkerPool",
     "merge_job_options",
-    "percentile",
     "serve_url_from_env",
 ]

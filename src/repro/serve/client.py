@@ -1,7 +1,7 @@
 """Stdlib HTTP client for the ``repro serve`` daemon.
 
 Backs the ``repro submit`` / ``repro status`` / ``repro fetch`` CLI
-commands and the corpus driver's ``--target-url`` load-generator mode.
+commands.
 Transport errors and non-2xx responses raise :class:`ServeError` with
 the server's own message when one came back — a client must never
 mistake "connection refused" for "no races".
@@ -14,7 +14,7 @@ import os
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 from urllib.parse import quote
 
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT, SERVE_URL_ENV
@@ -36,23 +36,6 @@ def serve_url_from_env(explicit: Optional[str] = None) -> str:
         or os.environ.get(SERVE_URL_ENV)
         or f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
     )
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Exact ``q``-th percentile (0..100) with linear interpolation —
-    the load generator has every sample, no bucket estimate needed."""
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile {q} out of range 0..100")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = (q / 100.0) * (len(ordered) - 1)
-    lo = int(position)
-    hi = min(lo + 1, len(ordered) - 1)
-    fraction = position - lo
-    return float(ordered[lo] + (ordered[hi] - ordered[lo]) * fraction)
 
 
 class ServeClient:

@@ -52,7 +52,8 @@ class TestCleanRun:
         out = tmp_path / "RUN_report.json"
         run = run_corpus(apps=SMALL, out_path=str(out))
         data = json.loads(out.read_text())
-        assert data["schema"] == 2
+        assert data["schema"] == 3
+        assert "cost_model" not in data
         assert data["run_id"] is None  # no --history: provenance block empty
         assert data["history"] is None
         assert data["isolated"] is True

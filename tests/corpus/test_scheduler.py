@@ -1,9 +1,10 @@
-"""Sharded work-stealing scheduler: binpacking, core budget, equivalence."""
+"""Sharded largest-first scheduler: dispatch order, core budget, equivalence."""
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import multiprocessing
 
 import pytest
@@ -22,10 +23,7 @@ from repro.corpus.families import (
     score_detection,
     seeded_corpus,
 )
-
-
-def _item(index: int, cost: float, **kw) -> sched.WorkItem:
-    return sched.WorkItem(index=index, name=f"app{index}", cost=cost, **kw)
+from repro.obs import log as obs_log
 
 
 class TestCoreBudget:
@@ -43,47 +41,6 @@ class TestCoreBudget:
 
     def test_single_shard_keeps_full_budget(self):
         assert sched.core_budget(1, requested=4, cores=4) == 4
-
-
-class TestWorkPlan:
-    def test_lpt_binpacking_largest_first_into_least_loaded(self):
-        plan = sched.WorkPlan(
-            [_item(0, 10.0), _item(1, 9.0), _item(2, 2.0), _item(3, 1.0)],
-            shards=2,
-        )
-        assert [it.cost for it in plan.bins[0]] == [10.0, 1.0]
-        assert [it.cost for it in plan.bins[1]] == [9.0, 2.0]
-        assert plan.load_of(0) == 11.0 and plan.load_of(1) == 11.0
-
-    def test_take_serves_own_head_largest_first(self):
-        plan = sched.WorkPlan([_item(0, 10.0), _item(1, 4.0)], shards=1)
-        item, stolen_from = plan.take(0)
-        assert item.cost == 10.0 and stolen_from is None
-
-    def test_idle_shard_steals_victims_cheapest_tail(self):
-        plan = sched.WorkPlan(
-            [_item(0, 10.0), _item(1, 4.0), _item(2, 3.0)], shards=2
-        )
-        assert [it.cost for it in plan.bins[1]] == [4.0, 3.0]
-        item, _ = plan.take(0)  # drains shard 0's only item
-        assert item.cost == 10.0
-        item, stolen_from = plan.take(0)
-        assert stolen_from == 1
-        assert item.cost == 3.0  # tail of the victim, not its head
-        assert plan.steals == 1
-
-    def test_equal_costs_tie_break_on_index(self):
-        a = sched.WorkPlan([_item(i, 1.0) for i in range(6)], shards=3)
-        b = sched.WorkPlan([_item(i, 1.0) for i in range(6)], shards=3)
-        assert [[it.index for it in bin_] for bin_ in a.bins] == [
-            [it.index for it in bin_] for bin_ in b.bins
-        ]
-
-    def test_drained_plan_returns_none(self):
-        plan = sched.WorkPlan([_item(0, 1.0)], shards=2)
-        assert plan.take(0) is not None
-        assert plan.take(0) is None and plan.take(1) is None
-        assert plan.remaining() == 0
 
 
 class TestProgressLine:
@@ -105,7 +62,7 @@ class TestRunShardedDirect:
 
     def test_worker_crash_respawns_and_isolates(self):
         """A worker that dies mid-task costs exactly that task — the
-        replacement worker drains the rest of the plan."""
+        replacement worker drains the rest of the queue."""
         mp_context = multiprocessing.get_context("fork")
         items = [
             sched.WorkItem(index=0, name="quickstart", cost=2.0),
@@ -137,6 +94,37 @@ class TestRunShardedDirect:
         assert [r.app for r in records] == names
 
 
+@pytest.mark.corpus_smoke
+class TestDispatchOrder:
+    def test_one_shard_starts_apps_largest_cost_first(self):
+        """One queue, sorted by cost: the largest app starts first and
+        equal costs keep input order; records still come back in input
+        order."""
+        mp_context = multiprocessing.get_context("fork")
+        items = [
+            sched.WorkItem(index=0, name="quickstart", cost=1.0),
+            sched.WorkItem(index=1, name="dbapp", cost=5.0),
+            sched.WorkItem(index=2, name="newsreader", cost=1.0),
+        ]
+        stream = io.StringIO()
+        obs_log.configure(level="info", json_mode=True, stream=stream)
+        try:
+            records = sched.run_sharded(
+                mp_context,
+                items,
+                dataclasses.asdict(SierraOptions()),
+                shards=1,
+                timeout_s=60.0,
+            )
+        finally:
+            obs_log.unconfigure()
+        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+        started = [line["app"] for line in lines if line["event"] == "app.start"]
+        assert started == ["dbapp", "quickstart", "newsreader"]
+        assert [r.app for r in records] == ["quickstart", "dbapp", "newsreader"]
+        assert all(r.status == STATUS_OK for r in records)
+
+
 class TestDriverIntegration:
     def test_core_budget_lands_in_the_report(self):
         apps = seeded_corpus(count=2, seed=0, max_size=0)
@@ -149,13 +137,6 @@ class TestDriverIntegration:
         assert data["shards"] == 2
         assert data["effective_parallelism"] == run.effective_parallelism
         assert all(r.status == STATUS_OK for r in run.records)
-
-    def test_gauges_zeroed_after_run(self):
-        from repro.obs import metrics
-
-        run_corpus(apps=seeded_corpus(count=2, seed=4, max_size=0), shards=2)
-        assert metrics.registry().value("corpus.queue_depth") == 0
-        assert metrics.registry().value("corpus.busy_workers") == 0
 
 
 def _result_key(run):

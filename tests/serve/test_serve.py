@@ -29,7 +29,6 @@ from repro.serve import (
     ServeDaemon,
     ServeError,
     merge_job_options,
-    percentile,
 )
 
 
@@ -388,7 +387,7 @@ def test_job_store_concurrent_claims_unique(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# option merging + percentile helpers
+# option merging
 # ----------------------------------------------------------------------
 def test_merge_job_options_overlays_and_rejects():
     base = SierraOptions(cache_dir="/srv/cache")
@@ -402,15 +401,3 @@ def test_merge_job_options_overlays_and_rejects():
     # inject_* flags pass validation but never leak into analysis options
     merged = merge_job_options(base, {"inject_fail": True})
     assert "inject_fail" not in merged
-
-
-def test_percentile_exact():
-    assert percentile([], 50) == 0.0
-    assert percentile([7.0], 99) == 7.0
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0) == 1.0
-    assert percentile(values, 50) == 2.5
-    assert percentile(values, 100) == 4.0
-    assert percentile(values, 25) == 1.75
-    with pytest.raises(ValueError):
-        percentile(values, 101)

@@ -25,6 +25,11 @@ class TestLoadApp:
             load_app("paper:NoSuchApp")
         with pytest.raises(SystemExit):
             load_app("fdroid:9999")
+        # a non-numeric index is an unknown name too, not a traceback
+        with pytest.raises(SystemExit):
+            load_app("fdroid:abc")
+        with pytest.raises(SystemExit):
+            load_app("fdroid:")
 
 
 class TestAnalyzeCommand:
