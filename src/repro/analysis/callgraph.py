@@ -159,9 +159,6 @@ class CallGraph:
     def in_edges(self, node: MethodContext) -> List[CallEdge]:
         return list(self._in.get(node, ()))
 
-    def callees(self, node: MethodContext) -> List[MethodContext]:
-        return [e.callee for e in self._out.get(node, ())]
-
     def callers(self, node: MethodContext) -> List[MethodContext]:
         return [e.caller for e in self._in.get(node, ())]
 

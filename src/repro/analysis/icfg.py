@@ -48,12 +48,6 @@ class ActionICFG:
         """The method-context's return points (backward-walk start nodes)."""
         return [(mc, index) for index in self._returns.get(mc, [])]
 
-    def node_of(self, mc: MethodContext, instr: Instruction) -> ICFGNode:
-        for index, candidate in enumerate(mc.method.body):
-            if candidate is instr:
-                return (mc, index)
-        raise ValueError(f"instruction not in {mc!r}")
-
     # ------------------------------------------------------------------
     def _add_method(self, mc: MethodContext) -> None:
         body = mc.method.body
@@ -124,18 +118,6 @@ class ActionICFG:
                     self.graph.remove_edge((mc, index), succ)
 
     # ------------------------------------------------------------------
-    def de_facto_dominates(
-        self, entry: MethodContext, e1: ICFGNode, e2: ICFGNode
-    ) -> bool:
-        """Is e2 unreachable from the action entry once e1 is removed?"""
-        if e1 == e2:
-            return False
-        start = self.entry_node(entry)
-        if start == e1:
-            return True
-        reachable = self.graph.reachable_from(start, skip=e1)
-        return e2 not in reachable
-
     def sites_of_instruction(self, instr: Instruction) -> List[ICFGNode]:
         """Every ICFG node (one per member method-context) holding ``instr``."""
         out: List[ICFGNode] = []

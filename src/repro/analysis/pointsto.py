@@ -252,10 +252,6 @@ class PointerAnalysis:
         self._track_deps = solver == "worklist"
         self._queue: deque = deque()
         self._queued: Set[tuple] = set()
-        # optional (signature, index) trace of drained units — the
-        # invalidation-precision tests set this to a list to observe exactly
-        # which units an incremental resume re-interprets
-        self.replay_log: Optional[List[Tuple[str, Optional[int]]]] = None
         for entry in entries:
             ctx = self.selector.entry_context(entry.action_id)
             mc = MethodContext(entry.method, ctx)
@@ -371,7 +367,6 @@ class PointerAnalysis:
         scheduling change.
         """
         before = self.worklist_iterations
-        replay_log = self.replay_log
         queue = self._queue
         round_no = 0
         # attribution: when a profiler is active, each unit is timed and
@@ -388,8 +383,6 @@ class PointerAnalysis:
                     self._queued.discard(unit)
                     self.worklist_iterations += 1
                     mc, index = unit
-                    if replay_log is not None:
-                        replay_log.append((mc.method.signature, index))
                     t0 = perf() if prof is not None else 0.0
                     try:
                         if index is None:

@@ -129,7 +129,37 @@ def _history_path(args: argparse.Namespace) -> Optional[str]:
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
+def _with_ledger(args: argparse.Namespace, command: str, body) -> int:
+    """Run ``body(args, ledger)`` with the ``--history`` ledger (None
+    without one) opened first, so a malformed ledger exits 2 with one
+    line before any analysis runs, as ``corpus-analyze`` does."""
+    history = _history_path(args)
+    if not history:
+        return body(args, None)
+    from repro.obs.history import LedgerError, RunLedger
+
+    try:
+        with RunLedger(history) as ledger:
+            return body(args, ledger)
+    except LedgerError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _record_analysis(ledger, options, apk, result, elapsed_s, profile=None) -> None:
+    from repro.obs.history import KIND_ANALYZE
+
+    options_dict = dataclasses.asdict(options)
+    run_id = ledger.begin_run(KIND_ANALYZE, options_dict, meta={"app": apk.name})
+    ledger.record_analysis(run_id, apk.name, result, elapsed_s, profile=profile)
+    print(f"recorded run {run_id} in {ledger.path}", file=sys.stderr)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
+    return _with_ledger(args, "analyze", _analyze)
+
+
+def _analyze(args: argparse.Namespace, ledger) -> int:
     apk = load_app(args.app)
     options = _options_from(args)
     # --trace records the run; without it no hook is installed at all
@@ -161,16 +191,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"  - {field}", file=sys.stderr)
         return 2
 
-    history = _history_path(args)
-    if history:
-        from repro.obs.history import KIND_ANALYZE, RunLedger
-
-        with RunLedger(history) as ledger:
-            run_id = ledger.begin_run(
-                KIND_ANALYZE, dataclasses.asdict(options), meta={"app": apk.name}
-            )
-            ledger.record_analysis(run_id, apk.name, result, elapsed_s=elapsed)
-        print(f"recorded run {run_id} in {history}", file=sys.stderr)
+    if ledger is not None:
+        _record_analysis(ledger, options, apk, result, elapsed)
 
     if recorder is not None:
         print(
@@ -305,26 +327,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one app with cost attribution on and render the results."""
+    return _with_ledger(args, "profile", _profile)
+
+
+def _profile(args: argparse.Namespace, ledger) -> int:
     from repro.obs import profile as profile_mod
 
     apk = load_app(args.app)
     options = _options_from(args)
-    options.profile = True
     started = time.monotonic()
-    result = Sierra(options).analyze(apk)
+    with profile_mod.profiled() as profiler:
+        result = Sierra(options).analyze(apk)
     elapsed = time.monotonic() - started
-    summary = result.profile or {}
+    summary = profiler.summary(app=apk.name)
 
-    history = _history_path(args)
-    if history:
-        from repro.obs.history import KIND_ANALYZE, RunLedger
-
-        with RunLedger(history) as ledger:
-            run_id = ledger.begin_run(
-                KIND_ANALYZE, dataclasses.asdict(options), meta={"app": apk.name}
-            )
-            ledger.record_analysis(run_id, apk.name, result, elapsed_s=elapsed)
-        print(f"recorded run {run_id} in {history}", file=sys.stderr)
+    if ledger is not None:
+        _record_analysis(ledger, options, apk, result, elapsed, profile=summary)
 
     if args.flamegraph:
         text = profile_mod.collapsed_stacks(summary)
@@ -870,8 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0,
                        help="corpus seed; same seed + args = identical corpus")
     synth.add_argument("--max-size", type=int, default=2,
-                       help="largest size knob to draw (0..4, default 2; "
-                       "each step is ~4x the idiom density)")
+                       help="largest size knob to draw (default 2; each "
+                       "step is ~4x the idiom density). The seeded size mix "
+                       "stops at 3, so 3 and 4 give the same corpus")
     synth.add_argument("--out", default=None, metavar="PATH",
                        help="write the machine-readable GroundTruth "
                        "manifest JSON here")

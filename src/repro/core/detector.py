@@ -12,8 +12,8 @@
 
 and reports per-stage wall-clock timings bucketed exactly like Table 4:
 CG+PA (harness + both analysis phases), HBG, and Refutation. Each stage is
-wrapped in a :func:`repro.obs.stage` block, so an installed diagnostics
-hook (``repro corpus-analyze``, an operator dashboard) sees start/end
+a root :func:`repro.obs.span`, so an installed diagnostics hook (``repro
+corpus-analyze``, ``repro profile``, an operator dashboard) sees start/end
 events — and where a run died — without the detector knowing about it.
 """
 
@@ -61,10 +61,6 @@ class SierraOptions:
     #: BackDroid-style targeted query: slice racy-pair enumeration and
     #: refutation to candidates on this field signature only
     only_field: Optional[str] = None
-    #: attribute wall time / iterations / memory to methods, contexts,
-    #: fields, HB rules, and refutation candidates (repro.obs.profile);
-    #: off by default — the disabled path installs no hooks at all
-    profile: bool = False
 
 
 @dataclass
@@ -77,9 +73,6 @@ class SierraResult:
     racy_pairs: List[RacyPair]
     surviving: List[RacyPair]
     harness: HarnessModel
-    #: attribution summary (repro.obs.profile schema) when
-    #: SierraOptions.profile was set; None otherwise
-    profile: Optional[dict] = None
 
 
 class Sierra:
@@ -94,24 +87,14 @@ class Sierra:
         report = SierraReport(app=apk.name)
         obs.metrics.reset_run()  # one scrape window per analyze()
 
-        profiler = None
-        if opts.profile:
-            profiler = obs.profile.Profiler()
-            obs.profile.install(profiler)
-
         cache = None
         if opts.cache_dir:
             from repro.cache import SubstrateCache
 
             cache = SubstrateCache(opts.cache_dir)
         try:
-            result = self._analyze(apk, report, cache)
-            if profiler is not None:
-                result.profile = profiler.summary(app=apk.name)
-            return result
+            return self._analyze(apk, report, cache)
         finally:
-            if profiler is not None:
-                obs.profile.uninstall(profiler)
             if cache is not None:
                 cache.close()
 
@@ -119,7 +102,7 @@ class Sierra:
         opts = self.options
         outcome = None
 
-        with obs.stage("cg_pa", app=apk.name) as timer:
+        with obs.span("cg_pa", app=apk.name) as timer:
             # the lookup digests the pre-harness program, so it must run
             # inside this stage's timing, before generate_harnesses
             if cache is not None:
@@ -153,7 +136,7 @@ class Sierra:
                 )
         report.time_cg_pa = timer.seconds
 
-        with obs.stage("hbg", app=apk.name) as timer:
+        with obs.span("hbg", app=apk.name) as timer:
             if outcome is not None and outcome.hit:
                 shbg = outcome.bundle["shbg"]
             else:
@@ -175,9 +158,11 @@ class Sierra:
             report.racy_pairs_selected = len(selected_pairs)
 
         if opts.compare_without_as:
-            report.racy_pairs_no_as = self._racy_pairs_without_as(apk, harness)
+            # its own root span: its extraction spans must not pose as stages
+            with obs.span("no_as", app=apk.name):
+                report.racy_pairs_no_as = self._racy_pairs_without_as(apk, harness)
 
-        with obs.stage("refutation", app=apk.name) as timer:
+        with obs.span("refutation", app=apk.name) as timer:
             summary = None
             if opts.refute:
                 memo = None

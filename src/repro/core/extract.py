@@ -64,17 +64,6 @@ class Extraction:
     def by_id(self, action_id: int) -> Action:
         return self.actions[action_id]
 
-    def action_of_site(
-        self, site: Invoke, entry: Method, parent: Optional[int] = None
-    ) -> Optional[Action]:
-        return self._by_key.get((parent, id(site), id(entry)))
-
-    def actions_of_kind(self, *kinds: ActionKind) -> List[Action]:
-        return [a for a in self.actions if a.kind in kinds]
-
-    def actions_containing_method(self, method: Method) -> List[Action]:
-        return [a for a in self.actions if method in a.member_methods]
-
     def resolver(self, caller_mc: MethodContext, site: Invoke, callee: Method) -> Optional[int]:
         """Action-resolver hook for the phase-C pointer analysis."""
         parent = caller_mc.action_id()

@@ -47,8 +47,9 @@ _log = obs_log.get_logger("corpus.driver")
 #: JSON layout version of RUN_report.json (2: run_id/history provenance
 #: block embedded when the batch records into a run-history ledger; 3: the
 #: ``cost_model`` key is gone, since the scheduler orders by static cost
-#: and fits no model)
-SCHEMA = 3
+#: and fits no model; 4: events are ``span_*`` only — the Table 4 stages
+#: are the root spans — and ``options`` has no ``profile`` key)
+SCHEMA = 4
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -218,9 +219,9 @@ def _execute_app(
         if inject_fail:
             raise RuntimeError(f"injected failure for {name!r} (--inject-fail)")
         if inject_hang_s > 0:
-            # a real stage block: the streamed stage_start is what lets the
+            # a real root span: the streamed span_start is what lets the
             # parent's timeout record name the stage the worker died inside
-            with obs.stage("inject-hang", app=name):
+            with obs.span("inject-hang", app=name):
                 time.sleep(inject_hang_s)
         if inject_cache_corrupt and options_dict.get("cache_dir"):
             from repro.cache import corrupt_store_for_testing
@@ -235,11 +236,6 @@ def _execute_app(
         apk = load_app(name)
         result = Sierra(SierraOptions(**options_dict)).analyze(apk)
     report = result.report
-    metrics_blob = metrics.registry().collect()
-    if result.profile:
-        # reserved key: profiled batches ship their attribution summary
-        # with the metrics so the ledger (and repro diff blame) sees it
-        metrics_blob["profile"] = result.profile
     return {
         "status": STATUS_OK,
         "stages": collect_stage_timings(result),
@@ -251,7 +247,7 @@ def _execute_app(
         # ledger rows, computed here where the report objects live: the
         # parent records them without re-running the analysis
         "races": [race_row(r) for r in report.reports],
-        "metrics": metrics_blob,
+        "metrics": metrics.registry().collect(),
     }
 
 

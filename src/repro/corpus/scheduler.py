@@ -109,9 +109,6 @@ class WorkItem:
     inject_fail: bool = False
     inject_hang_s: float = 0.0
     inject_cache_corrupt: bool = False
-    #: internal testing aid: the worker hard-exits before analyzing —
-    #: exercises the WorkerDied/respawn path without a real crash
-    inject_crash: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -209,14 +206,14 @@ class _PipeStreamer:
 
 
 def _stuck_stage(events: List[Dict[str, object]]) -> Optional[str]:
-    """The innermost stage/span still open at the end of a partial event
+    """The innermost span still open at the end of a partial event
     stream — where a timed-out worker was when it was killed."""
     stack: List[str] = []
     for event in events:
         kind = event.get("kind")
-        if kind in (obs.STAGE_START, obs.SPAN_START):
+        if kind == obs.SPAN_START:
             stack.append(str(event.get("stage")))
-        elif kind in (obs.STAGE_END, obs.SPAN_END) and stack:
+        elif kind == obs.SPAN_END and stack:
             stack.pop()
     return stack[-1] if stack else None
 
@@ -244,8 +241,6 @@ def _worker_loop(conn) -> None:
             if message[0] != "task":
                 break  # ("stop",): exit cleanly
             task = message[1]
-            if task["inject_crash"]:
-                os._exit(23)
             try:
                 payload = _execute_app(
                     task["name"],
@@ -339,7 +334,6 @@ class Worker:
                     "inject_fail": item.inject_fail,
                     "inject_hang_s": item.inject_hang_s,
                     "inject_cache_corrupt": item.inject_cache_corrupt,
-                    "inject_crash": item.inject_crash,
                 },
             )
         )

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 class Type:
     """Base class for IR types."""
 
-    def is_primitive(self) -> bool:
-        return isinstance(self, PrimitiveType)
-
     def is_reference(self) -> bool:
         return isinstance(self, (ClassType, ArrayType))
 

@@ -1,6 +1,7 @@
 """Observability: spans, metrics, trace export, and the run-history stack.
 
-See :mod:`repro.obs.diagnostics` (span/stage/hook bus),
+:func:`span` is the one timing primitive (the Table 4 stages are its root
+spans). See :mod:`repro.obs.diagnostics` (span/hook bus),
 :mod:`repro.obs.metrics` (typed counter/gauge/histogram registry),
 :mod:`repro.obs.tracing` (Chrome trace-event export),
 :mod:`repro.obs.history` (append-only sqlite run ledger),
@@ -28,8 +29,6 @@ from repro.obs.diagnostics import (
     RunEvent,
     SPAN_END,
     SPAN_START,
-    STAGE_END,
-    STAGE_START,
     Span,
     WARNING,
     add_hook,
@@ -39,7 +38,6 @@ from repro.obs.diagnostics import (
     reemit,
     remove_hook,
     span,
-    stage,
 )
 
 #: submodules the analysis engine never needs: imported on first access
@@ -81,8 +79,6 @@ __all__ = [
     "RunEvent",
     "SPAN_END",
     "SPAN_START",
-    "STAGE_END",
-    "STAGE_START",
     "Span",
     "WARNING",
     "add_hook",
@@ -99,7 +95,6 @@ __all__ = [
     "reemit",
     "remove_hook",
     "span",
-    "stage",
     "telemetry",
     "tracing",
     "validate_chrome_trace",

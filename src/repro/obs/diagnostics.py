@@ -1,16 +1,14 @@
-"""Run diagnostics: hierarchical spans, stage events, warnings, degradation.
+"""Run diagnostics: hierarchical spans, warnings, degradation.
 
 The detector and its substrates report what happened through a tiny
 hook bus instead of ``print`` or — worse — silence:
 
-* the pipeline wraps each Table 4 stage in :func:`stage`, which emits a
-  ``stage_start``/``stage_end`` event pair with wall-clock seconds;
-* work *below* stage granularity (one HB rule, one refutation
-  candidate, one points-to worklist round) is wrapped in :func:`span`,
-  which emits ``span_start``/``span_end`` pairs carrying a span id and
-  the id of the enclosing span — together the events form a tree that
-  :func:`repro.obs.tracing.chrome_trace` exports as a Chrome trace-event
-  file;
+* every timed region is wrapped in :func:`span`, which emits a
+  ``span_start``/``span_end`` pair carrying wall-clock seconds, a span id
+  and the id of the enclosing span. The Table 4 stages are the root spans;
+  finer work (one HB rule, one refutation candidate) nests below them.
+  The events form a tree that :func:`repro.obs.tracing.chrome_trace`
+  exports as a Chrome trace-event file;
 * fallback paths that *lose* something (a crashed refutation worker pool
   degrading to serial, a retry) emit ``warning`` / ``degraded`` events
   via :func:`emit_warning` / :func:`emit_degraded` instead of a bare
@@ -47,33 +45,27 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
 #: event kinds, in the order a consumer will typically see them
-STAGE_START = "stage_start"
-STAGE_END = "stage_end"
 SPAN_START = "span_start"
 SPAN_END = "span_end"
 WARNING = "warning"
 DEGRADED = "degraded"
-
-#: kinds that open/close a node in the span tree (stages are root spans)
-_OPENING_KINDS = frozenset({STAGE_START, SPAN_START})
-_CLOSING_KINDS = frozenset({STAGE_END, SPAN_END})
 
 
 @dataclass
 class RunEvent:
     """One diagnostic event fired by the pipeline."""
 
-    kind: str  # STAGE_START | STAGE_END | SPAN_START | SPAN_END | ...
-    stage: Optional[str] = None  # stage or span name ("hbg", "hb.rule.R1-…")
+    kind: str  # SPAN_START | SPAN_END | WARNING | DEGRADED
+    stage: Optional[str] = None  # span name ("hbg", "hb.rule.R1-…")
     message: str = ""
-    seconds: Optional[float] = None  # STAGE_END / SPAN_END only
+    seconds: Optional[float] = None  # SPAN_END only
     detail: Dict[str, object] = field(default_factory=dict)
-    # -- span tree fields (set on stage/span events when hooks are live) --
+    # -- span tree fields (set on span events when hooks are live) --
     span_id: Optional[str] = None
     parent_id: Optional[str] = None
     ts: Optional[float] = None  # time.perf_counter() at emission
     pid: Optional[int] = None  # emitting process
-    mem: Optional[Dict[str, int]] = None  # memory capture (SPAN_END/STAGE_END)
+    mem: Optional[Dict[str, int]] = None  # memory capture (SPAN_END)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"kind": self.kind}
@@ -211,7 +203,7 @@ def current_span_id() -> Optional[str]:
     This is the correlation handle the structured log formatter
     (:mod:`repro.obs.log`) stamps on every record, so a log line emitted
     mid-stage joins the same tree the Chrome trace exports. Ids are only
-    minted while hooks are installed (see :func:`_timed_pair`)."""
+    minted while hooks are installed (see :func:`span`)."""
     return _span_stack[-1] if _span_stack else None
 
 
@@ -235,7 +227,7 @@ def _memory_snapshot() -> Optional[Dict[str, int]]:
 
 @dataclass
 class Span:
-    """Yielded by :func:`span` / :func:`stage`; mutate ``attrs`` via
+    """Yielded by :func:`span`; mutate ``attrs`` via
     :meth:`set` to enrich the closing event (e.g. edges added by an HB
     rule). ``seconds`` is final once the block exits."""
 
@@ -250,12 +242,11 @@ class Span:
 
 
 @contextmanager
-def _timed_pair(
-    name: str, start_kind: str, end_kind: str, detail: Dict[str, object]
-) -> Iterator[Span]:
-    """Common machinery behind :func:`span` and :func:`stage`.
+def span(name: str, **detail: object) -> Iterator[Span]:
+    """Time one unit of work: a Table 4 stage (a root span) or below.
 
-    The closing event fires even when the block raises (with the partial
+    Spans nest: the enclosing open span's id becomes ``parent_id``. The
+    closing event fires even when the block raises (with the partial
     duration), so a consumer always sees where a run died. When no hooks
     are installed at entry, the span still times itself (stage timings
     feed the report) but mints no ids and emits nothing.
@@ -278,7 +269,7 @@ def _timed_pair(
     _span_stack.append(sp.span_id)
     emit(
         RunEvent(
-            kind=start_kind,
+            kind=SPAN_START,
             stage=name,
             detail=dict(detail),
             span_id=sp.span_id,
@@ -293,7 +284,7 @@ def _timed_pair(
         _span_stack.pop()
         emit(
             RunEvent(
-                kind=end_kind,
+                kind=SPAN_END,
                 stage=name,
                 seconds=sp.seconds,
                 detail=dict(sp.attrs),
@@ -302,25 +293,6 @@ def _timed_pair(
                 mem=_memory_snapshot(),
             )
         )
-
-
-@contextmanager
-def stage(name: str, **detail: object) -> Iterator[Span]:
-    """Time a pipeline stage (a root-level span with legacy event kinds)."""
-    with _timed_pair(name, STAGE_START, STAGE_END, detail) as sp:
-        yield sp
-
-
-@contextmanager
-def span(name: str, **detail: object) -> Iterator[Span]:
-    """Time one unit of work below stage granularity.
-
-    Spans nest: the id of the enclosing open span (stage or span) becomes
-    this span's ``parent_id``. Essentially free when no hooks are
-    installed.
-    """
-    with _timed_pair(name, SPAN_START, SPAN_END, detail) as sp:
-        yield sp
 
 
 class Recorder:

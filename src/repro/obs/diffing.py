@@ -130,7 +130,7 @@ BLAME_TOP = 3
 
 def _profile_units(record: Dict[str, object]) -> Optional[Dict[str, list]]:
     """The per-unit attribution tables of one app record, when the run
-    was profiled (``repro profile`` / ``SierraOptions.profile``)."""
+    was profiled (``repro profile``)."""
     prof = record.get("metrics", {}).get("profile")  # type: ignore[union-attr]
     if not isinstance(prof, dict):
         return None

@@ -372,8 +372,11 @@ class RunLedger:
         except sqlite3.DatabaseError as exc:
             raise LedgerError(f"{self.path}: cannot append app row ({exc})") from exc
 
-    def record_analysis(self, run_id: str, app: str, result, elapsed_s: float = 0.0):
-        """Record one in-process :class:`~repro.core.SierraResult`.
+    def record_analysis(
+        self, run_id: str, app: str, result, elapsed_s: float = 0.0, profile=None
+    ):
+        """Record one in-process :class:`~repro.core.SierraResult`, with
+        its ``Profiler.summary()`` when the caller profiled the run.
 
         Scrapes the live metrics registry — callers record immediately
         after ``analyze()`` returns, while the run's scrape window is
@@ -383,10 +386,10 @@ class RunLedger:
 
         report = result.report
         metrics_blob = metrics.registry().collect()
-        if getattr(result, "profile", None):
+        if profile:
             # reserved key: the attribution summary rides with the scraped
             # metrics so ``repro diff`` can blame units, not just stages
-            metrics_blob["profile"] = result.profile
+            metrics_blob["profile"] = profile
         self.record_app(
             run_id,
             app,

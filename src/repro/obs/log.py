@@ -30,7 +30,7 @@ stream) in the child. Children also re-emit nothing retroactively —
 the stream is append-only per process.
 
 When logging is configured, an obs-hook bridge mirrors the diagnostics
-bus into the stream: ``stage_end`` events become DEBUG lines with their
+bus into the stream: root-span (stage) ends become DEBUG lines with their
 wall-clock seconds, ``warning``/``degraded`` events become WARNING
 lines — the detector stages log without knowing this module exists.
 """
@@ -251,12 +251,12 @@ _bridge_logger = logging.getLogger(f"{ROOT_LOGGER_NAME}.stage")
 def _bridge_hook(ev: diagnostics.RunEvent) -> None:
     """Mirror diagnostics events into the log stream.
 
-    Stage boundaries log at DEBUG (a corpus run emits a handful per
-    app), span events are skipped entirely (a refutation pass emits
+    Root spans (the stages) log their end at DEBUG (a handful per app),
+    nested spans are skipped entirely (a refutation pass emits
     thousands; the trace exporter is the right consumer), anomalies log
     at WARNING — the one severity an operator must see.
     """
-    if ev.kind == diagnostics.STAGE_END:
+    if ev.kind == diagnostics.SPAN_END and ev.parent_id is None:
         if _bridge_logger.isEnabledFor(logging.DEBUG):
             event(
                 _bridge_logger,

@@ -73,9 +73,6 @@ class Gauge:
     def inc(self, amount: Number = 1) -> None:
         self._value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> Number:
         return self._value

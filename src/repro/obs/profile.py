@@ -1,6 +1,6 @@
 """Deep cost attribution: charge wall time to semantic units, not stages.
 
-The stage spans (PR 3) say *where* a run spent its time — ``cg_pa``,
+The Table 4 stage spans say *where* a run spent its time — ``cg_pa``,
 ``hbg``, ``refutation`` — but not *what* inside those stages burned it.
 This module adds an off-by-default attribution layer that charges wall
 time, iteration counts, and peak memory to the units an operator can
@@ -23,9 +23,9 @@ actually act on:
 
 Zero-cost fast path
 -------------------
-Profiling is enabled per run (``SierraOptions.profile`` /
-``repro profile <app>``). When disabled, *nothing* here runs: no obs
-hook is installed (so :func:`repro.obs.diagnostics._timed_pair` keeps
+Profiling is a hook the caller installs around a run (:func:`profiled`;
+``repro profile <app>``). Outside it, *nothing* here runs: no obs
+hook is installed (so :func:`repro.obs.diagnostics.span` keeps
 its no-hooks short-circuit and mints no span ids), no registry metrics
 are minted, and the worklist pays one ``is not None`` test per drain
 call — :func:`active` returns ``None``.
@@ -147,7 +147,7 @@ def _calibrate() -> Dict[str, float]:
 class Profiler:
     """Accumulates per-unit cost rows for one ``Sierra.analyze`` run.
 
-    Installed as an obs hook via :func:`install`; the points-to worklist
+    Installed as an obs hook by :func:`profiled`; the points-to worklist
     additionally charges it directly (spans per worklist unit would
     dominate the work being measured).
     """
@@ -189,9 +189,18 @@ class Profiler:
     def __call__(self, event: diagnostics.RunEvent) -> None:
         kind = event.kind
         if kind == diagnostics.SPAN_END:
-            self._events += 1
             name = event.stage or ""
             seconds = event.seconds or 0.0
+            if name in STAGE_NAMES:  # a stage: its own row, not an event
+                info = self._stages.setdefault(
+                    name, {"seconds": 0.0, "count": 0, "mem": None}
+                )
+                info["seconds"] += seconds
+                info["count"] += 1
+                if event.mem:
+                    info["mem"] = dict(event.mem)
+                return
+            self._events += 1
             if name.startswith(_HB_PREFIX):
                 self._unit_add(
                     "hb.rule",
@@ -226,16 +235,6 @@ class Profiler:
         elif kind == diagnostics.SPAN_START:
             if event.stage in _POINTSTO_PHASES:
                 self._phase = event.stage
-        elif kind == diagnostics.STAGE_END:
-            name = event.stage or ""
-            if name in STAGE_NAMES and event.seconds is not None:
-                info = self._stages.setdefault(
-                    name, {"seconds": 0.0, "count": 0, "mem": None}
-                )
-                info["seconds"] += event.seconds
-                info["count"] += 1
-                if event.mem:
-                    info["mem"] = dict(event.mem)
 
     # -- internals -------------------------------------------------------
     def _unit_add(self, kind: str, name: str, seconds: float, **extras) -> None:
@@ -378,32 +377,23 @@ def active() -> Optional[Profiler]:
     return _active
 
 
-def install(profiler: Profiler) -> None:
-    """Install ``profiler`` as the process-wide attribution sink."""
+@contextmanager
+def profiled(top_k: int = 40) -> Iterator[Profiler]:
+    """Install a profiler as the process-wide attribution sink for the
+    block: ``with profiled() as prof: sierra.analyze(apk)``"""
     global _active
+    profiler = Profiler(top_k=top_k)
     if _active is not None:
         # stale profiler (e.g. inherited across a fork): displace it
         diagnostics.remove_hook(_active)
     _active = profiler
     diagnostics.add_hook(profiler)
-
-
-def uninstall(profiler: Profiler) -> None:
-    global _active
-    if _active is profiler:
-        _active = None
-    diagnostics.remove_hook(profiler)
-
-
-@contextmanager
-def profiled(top_k: int = 40) -> Iterator[Profiler]:
-    """``with profiled() as prof: sierra.analyze(apk)``"""
-    profiler = Profiler(top_k=top_k)
-    install(profiler)
     try:
         yield profiler
     finally:
-        uninstall(profiler)
+        if _active is profiler:
+            _active = None
+        diagnostics.remove_hook(profiler)
 
 
 # ----------------------------------------------------------------------

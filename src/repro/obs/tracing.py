@@ -2,7 +2,7 @@
 
 :func:`chrome_trace` is a view of a recorded event list: record a
 pipeline run with a :class:`repro.obs.Recorder` (``repro analyze <app>
---trace out.json`` does) and it turns the stage/span events into Chrome
+--trace out.json`` does) and it turns the span events into Chrome
 trace-event JSON — loadable in ``chrome://tracing`` or
 https://ui.perfetto.dev — with one track per process: the main pipeline
 on the parent pid, each refutation pool worker on its own pid (their
@@ -11,10 +11,10 @@ timestamps intact, so they land on the timeline exactly where they ran).
 
 Mapping:
 
-* ``stage_start``/``span_start`` → ``ph: "B"`` (begin),
-* ``stage_end``/``span_end``     → ``ph: "E"`` (end, with the span's
-  attributes — and memory capture, when enabled — in ``args``),
-* ``warning``/``degraded``       → ``ph: "i"`` (instant, thread scope).
+* ``span_start`` → ``ph: "B"`` (begin; the Table 4 stages are root spans),
+* ``span_end``   → ``ph: "E"`` (end, with the span's attributes — and
+  memory capture, when enabled — in ``args``),
+* ``warning``/``degraded`` → ``ph: "i"`` (instant, thread scope).
 
 Other event kinds are skipped. Timestamps are microseconds relative to
 the earliest exported event (`time.perf_counter` is CLOCK_MONOTONIC on
@@ -32,21 +32,11 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.obs.diagnostics import (
-    DEGRADED,
-    RunEvent,
-    SPAN_END,
-    SPAN_START,
-    STAGE_END,
-    STAGE_START,
-    WARNING,
-)
+from repro.obs.diagnostics import DEGRADED, RunEvent, SPAN_END, SPAN_START, WARNING
 
 #: trace-event phase per event kind
 _PHASE = {
-    STAGE_START: "B",
     SPAN_START: "B",
-    STAGE_END: "E",
     SPAN_END: "E",
     WARNING: "i",
     DEGRADED: "i",
@@ -54,8 +44,6 @@ _PHASE = {
 
 #: category per event kind (Chrome's filter UI groups by these)
 _CATEGORY = {
-    STAGE_START: "stage",
-    STAGE_END: "stage",
     SPAN_START: "span",
     SPAN_END: "span",
     WARNING: "diagnostic",

@@ -346,6 +346,17 @@ class TestActionResolver:
         assert run_mcs and run_mcs[0].action_id() == 42
 
 
+def _assert_same_fixpoint(worklist, passes):
+    """Same points-to maps and the same call graph."""
+    assert worklist._var_pts == passes._var_pts
+    assert worklist._field_pts == passes._field_pts
+    assert worklist._static_pts == passes._static_pts
+    # CallEdge holds an unhashable Invoke: compare edge renderings
+    assert sorted(map(repr, worklist.call_graph.edges())) == sorted(
+        map(repr, passes.call_graph.edges())
+    )
+
+
 class TestSolverEquivalence:
     def test_worklist_equals_passes_on_paper_scale_phase_a(self):
         """The delta-worklist driver reaches the pass iteration's fixpoint
@@ -367,11 +378,26 @@ class TestSolverEquivalence:
                 solver=solver,
             ).solve()
 
-        worklist, passes = solve("worklist"), solve("passes")
-        assert worklist._var_pts == passes._var_pts
-        assert worklist._field_pts == passes._field_pts
-        assert worklist._static_pts == passes._static_pts
-        # CallEdge holds an unhashable Invoke: compare edge renderings
-        assert sorted(map(repr, worklist.call_graph.edges())) == sorted(
-            map(repr, passes.call_graph.edges())
-        )
+        _assert_same_fixpoint(solve("worklist"), solve("passes"))
+
+    def test_worklist_equals_passes_on_action_sensitive_phase_c(self):
+        """Phase C, the action-sensitive re-solve that routes every action
+        entry through the extraction's resolver, reaches the pass
+        iteration's fixpoint too."""
+        from repro.cli import load_app
+        from repro.core.extract import extract_actions
+        from repro.core.harness import generate_harnesses
+
+        apk = load_app("paper:OpenSudoku")
+        harness = generate_harnesses(apk)
+        ext = extract_actions(apk, harness)
+        passes = PointerAnalysis(
+            apk.program,
+            harness.entries,
+            selector=ext.selector,
+            layouts=apk.layouts,
+            dispatch_table=harness.dispatch_table,
+            action_resolver=ext.resolver,
+            solver="passes",
+        ).solve()
+        _assert_same_fixpoint(ext.result, passes)

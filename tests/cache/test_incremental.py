@@ -42,14 +42,29 @@ def two_component_program():
     return pb.program, entries
 
 
-def solve(program, entries, replay=False):
+def solve(program, entries):
     analysis = PointerAnalysis(
         program, entries, selector=InsensitiveSelector(), solver="worklist"
     )
-    if replay:
-        analysis.replay_log = []
     result = analysis.solve()
     return analysis, result
+
+
+def record_drained(analysis):
+    """The (method signature, index) of every unit ``analysis`` drains
+    from now on. Every queued unit drains exactly once, in queue order,
+    so recording what ``_enqueue`` newly queues records the drain."""
+    drained = []
+    enqueue = analysis._enqueue
+
+    def recording_enqueue(unit):
+        if unit not in analysis._queued:
+            mc, index = unit
+            drained.append((mc.method.signature, index))
+        enqueue(unit)
+
+    analysis._enqueue = recording_enqueue
+    return drained
 
 
 class TestResumePrecision:
@@ -62,9 +77,9 @@ class TestResumePrecision:
         a_helper.body.insert(len(a_helper.body) - 1, Nop())
         a_helper._cfg = None
 
-        analysis.replay_log = []
+        drained = record_drained(analysis)
         analysis.resume([a_helper])
-        replayed = {sig for sig, _ in analysis.replay_log}
+        replayed = {sig for sig, _ in drained}
         assert any("t.A.helper" in sig for sig in replayed)
         # the disjoint B component never recomputes
         assert not any(".B." in sig for sig in replayed)

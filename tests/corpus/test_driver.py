@@ -44,15 +44,20 @@ class TestCleanRun:
         assert record.counters["actions"] > 0
         assert record.counters["pointsto_worklist_iterations"] > 0
         assert record.report["racy_pairs"] >= record.report["races_after_refutation"]
-        # the detector's stage events made it across the process boundary
-        kinds = [e["kind"] for e in record.events]
-        assert kinds.count("stage_end") == 3
+        # the detector's stage spans (the root spans) made it across the
+        # process boundary
+        roots = [
+            e["stage"]
+            for e in record.events
+            if e["kind"] == "span_end" and "parent_id" not in e
+        ]
+        assert roots == ["cg_pa", "hbg", "refutation"]
 
     def test_report_json_round_trips(self, tmp_path):
         out = tmp_path / "RUN_report.json"
         run = run_corpus(apps=SMALL, out_path=str(out))
         data = json.loads(out.read_text())
-        assert data["schema"] == 3
+        assert data["schema"] == 4
         assert "cost_model" not in data
         assert data["run_id"] is None  # no --history: provenance block empty
         assert data["history"] is None
@@ -101,8 +106,8 @@ class TestFaultIsolation:
         assert record.error["stuck_stage"] == "inject-hang"
         assert "stuck in stage 'inject-hang'" in record.error["message"]
         kinds = [(e["kind"], e.get("stage")) for e in record.events]
-        assert ("stage_start", "inject-hang") in kinds
-        assert ("stage_end", "inject-hang") not in kinds  # it never finished
+        assert ("span_start", "inject-hang") in kinds
+        assert ("span_end", "inject-hang") not in kinds  # it never finished
         # and the flush survives into the written report
         data = json.loads(out.read_text())
         assert data["apps"]["quickstart"]["events"] == record.events

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import os
 
 import pytest
 
@@ -60,15 +61,24 @@ class TestRunShardedDirect:
     def _options(self):
         return dataclasses.asdict(SierraOptions())
 
-    def test_worker_crash_respawns_and_isolates(self):
+    def test_worker_crash_respawns_and_isolates(self, monkeypatch):
         """A worker that dies mid-task costs exactly that task — the
         replacement worker drains the rest of the queue."""
+        from repro.corpus import driver
+
+        execute_app = driver._execute_app
+
+        def crash_on_newsreader(name, *args):
+            if name == "newsreader":
+                os._exit(23)  # a hard crash: no result, no traceback
+            return execute_app(name, *args)
+
+        # the forked workers inherit the patch
+        monkeypatch.setattr(driver, "_execute_app", crash_on_newsreader)
         mp_context = multiprocessing.get_context("fork")
         items = [
             sched.WorkItem(index=0, name="quickstart", cost=2.0),
-            sched.WorkItem(
-                index=1, name="quickstart", cost=2.0, inject_crash=True
-            ),
+            sched.WorkItem(index=1, name="newsreader", cost=2.0),
             sched.WorkItem(index=2, name="quickstart", cost=2.0),
         ]
         records = sched.run_sharded(

@@ -51,32 +51,35 @@ class TestHooks:
 
 
 class TestStage:
+    """The Table 4 stages are root spans: same primitive, no parent."""
+
     def test_stage_emits_start_and_end_with_seconds(self):
         with obs.Recorder() as rec:
-            with obs.stage("hbg", app="x") as timer:
+            with obs.span("hbg", app="x") as timer:
                 pass
         assert timer.seconds >= 0
         kinds = [e.kind for e in rec.events]
-        assert kinds == [obs.STAGE_START, obs.STAGE_END]
+        assert kinds == [obs.SPAN_START, obs.SPAN_END]
+        assert all(e.parent_id is None for e in rec.events)
         end = rec.events[-1]
         assert end.stage == "hbg"
         assert end.seconds == timer.seconds
         assert end.detail == {"app": "x"}
 
-    def test_stage_end_fires_even_when_the_block_raises(self):
+    def test_stage_closes_even_when_the_block_raises(self):
         with obs.Recorder() as rec:
             with pytest.raises(ValueError):
-                with obs.stage("cg_pa"):
+                with obs.span("cg_pa"):
                     raise ValueError("analysis died")
-        assert [e.kind for e in rec.events] == [obs.STAGE_START, obs.STAGE_END]
+        assert [e.kind for e in rec.events] == [obs.SPAN_START, obs.SPAN_END]
 
     def test_stage_seconds_view(self):
         with obs.Recorder() as rec:
-            with obs.stage("cg_pa"):
+            with obs.span("cg_pa"):
                 pass
-            with obs.stage("refutation"):
+            with obs.span("refutation"):
                 pass
-        ends = rec.of_kind(obs.STAGE_END)
+        ends = rec.of_kind(obs.SPAN_END)
         assert [e.stage for e in ends] == ["cg_pa", "refutation"]
         assert all(e.seconds is not None and e.seconds >= 0 for e in ends)
 
@@ -86,10 +89,10 @@ class TestStage:
         with obs.Recorder() as rec:
             durations = []
             for _ in range(3):
-                with obs.stage("pointsto") as timer:
+                with obs.span("pointsto") as timer:
                     pass
                 durations.append(timer.seconds)
-        ends = rec.of_kind(obs.STAGE_END)
+        ends = rec.of_kind(obs.SPAN_END)
         assert [e.stage for e in ends] == ["pointsto"] * 3
         assert sum(e.seconds for e in ends) == pytest.approx(sum(durations))
 
@@ -122,13 +125,13 @@ class TestRecorder:
         import json
 
         with obs.Recorder() as rec:
-            with obs.stage("hbg"):
+            with obs.span("hbg"):
                 obs.emit_degraded("d", stage="hbg", cause="x")
         dicts = rec.to_dicts()
         json.dumps(dicts)  # round-trippable
-        # subset check: stage events also carry span identity (span_id,
+        # subset check: span events also carry their identity (span_id,
         # ts, pid) for the trace exporter
-        assert dicts[0]["kind"] == "stage_start"
+        assert dicts[0]["kind"] == "span_start"
         assert dicts[0]["stage"] == "hbg"
         assert dicts[0]["span_id"]
         assert dicts[1]["detail"] == {"cause": "x"}
@@ -139,6 +142,6 @@ class TestRecorder:
 
         with obs.Recorder() as rec:
             Sierra(SierraOptions()).analyze(quickstart_apk)
-        stages = {e.stage for e in rec.of_kind(obs.STAGE_END)}
-        assert stages == {"cg_pa", "hbg", "refutation"}
+        stages = [e.stage for e in rec.of_kind(obs.SPAN_END) if e.parent_id is None]
+        assert stages == ["cg_pa", "hbg", "refutation"]
         assert not rec.degraded

@@ -24,6 +24,7 @@ from repro.obs.profile import (
     active,
     collapsed_stacks,
     parse_collapsed,
+    profiled,
 )
 
 #: the acceptance app: big enough that every stage does real work
@@ -35,15 +36,11 @@ REL_TOL = 0.10
 
 
 @pytest.fixture(scope="module")
-def profiled_result():
-    return Sierra(SierraOptions(profile=True)).analyze(load_app(APP))
-
-
-@pytest.fixture(scope="module")
-def summary(profiled_result):
-    summary = profiled_result.profile
-    assert summary is not None
-    return summary
+def summary():
+    # profiling is a hook the caller installs around the run
+    with profiled() as prof:
+        Sierra(SierraOptions()).analyze(load_app(APP))
+    return prof.summary(app=APP)
 
 
 class TestConservation:
@@ -121,8 +118,7 @@ class TestFlamegraph:
 class TestDisabledPath:
     def test_disabled_run_installs_no_hooks_and_mints_no_counters(self):
         before_hooks = len(obs.diagnostics._hooks)
-        result = Sierra(SierraOptions()).analyze(load_app("quickstart"))
-        assert result.profile is None
+        Sierra(SierraOptions()).analyze(load_app("quickstart"))
         assert active() is None
         assert len(obs.diagnostics._hooks) == before_hooks
         # the profiler keeps every tally internal: no registry series
@@ -132,7 +128,7 @@ class TestDisabledPath:
     def test_enabled_run_also_keeps_registry_clean(self, summary):
         assert not [n for n in metrics.registry().names() if "profile" in n]
 
-    def test_profiler_uninstalled_after_profiled_run(self, profiled_result):
+    def test_profiler_uninstalled_after_profiled_run(self, summary):
         assert active() is None
         assert not any(
             isinstance(h, Profiler) for h in obs.diagnostics._hooks
@@ -141,8 +137,6 @@ class TestDisabledPath:
 
 class TestSerialEqualsSharded:
     def test_refutation_attribution_units_match(self):
-        from repro.obs.profile import profiled
-
         apk = load_app(APP)
 
         def run(parallelism):

@@ -29,13 +29,12 @@ class TestSpanTree:
 
     def test_spans_nest_under_stages(self):
         with obs.Recorder() as rec:
-            with obs.stage("hbg"):
+            with obs.span("hbg"):
                 with obs.span("hb.rule.R1"):
                     pass
-        stage_start = next(e for e in rec.events if e.kind == obs.STAGE_START)
-        span_start = next(e for e in rec.events if e.kind == obs.SPAN_START)
-        assert stage_start.span_id
-        assert span_start.parent_id == stage_start.span_id
+        stage, rule = rec.of_kind(obs.SPAN_START)
+        assert stage.span_id and stage.parent_id is None
+        assert rule.parent_id == stage.span_id
 
     def test_span_end_carries_attributes_and_seconds(self):
         with obs.Recorder() as rec:
@@ -78,7 +77,7 @@ class TestWorkerSpanReattachment:
         ref_stage = next(
             e
             for e in rec.events
-            if e.kind == obs.STAGE_START and e.stage == "refutation"
+            if e.kind == obs.SPAN_START and e.stage == "refutation"
         )
         chunk_starts = [
             e
@@ -107,7 +106,7 @@ class TestChromeTrace:
 
     def _record(self):
         with obs.Recorder() as rec:
-            with obs.stage("hbg", app="x"):
+            with obs.span("hbg", app="x"):
                 with obs.span("hb.rule.R1"):
                     pass
                 obs.emit_warning("w", stage="hbg")

@@ -148,6 +148,25 @@ class TestBrokenPipe:
         assert "quickstart" in capsys.readouterr().out
 
 
+class TestMalformedHistory:
+    @pytest.mark.parametrize("command", ["analyze", "profile"])
+    def test_exits_two_with_one_line_before_analyzing(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the app was analyzed before the ledger opened")
+
+        monkeypatch.setattr(cli, "Sierra", no_analysis)
+        bad = tmp_path / "not-a-db"
+        bad.write_bytes(b"\x00" * 512)
+        assert main([command, "quickstart", "--history", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {bad}: not a usable run ledger")
+        assert len(err.splitlines()) == 1  # no traceback
+
+
 class TestJsonOutput:
     def test_json_roundtrip(self, capsys):
         import json
