@@ -16,7 +16,7 @@ from typing import Optional
 #: environment variable naming the default cache directory
 CACHE_ENV = "REPRO_CACHE"
 
-#: the sqlite-backed store and what builds on it load on first access
+#: the on-disk store and what builds on it load on first access
 #: (module-level ``__getattr__``): a run without ``--cache`` needs none
 _LAZY_NAMES = {
     "CACHE_VERSION": "store",

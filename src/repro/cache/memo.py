@@ -11,7 +11,7 @@ and the budgets).
 
 Fork-pool protocol: the parent computes keys and loads entries *before*
 forking; workers consult the inherited :meth:`RefutationMemo.lookup`
-snapshot (they never touch the store or sqlite) and ship hit-marked result
+snapshot (they never touch the store) and ship hit-marked result
 tuples back like any other result; the parent persists newly computed
 verdicts afterwards via :meth:`flush`. Serial and parallel runs therefore
 see the identical entry snapshot per pair and scrape identical

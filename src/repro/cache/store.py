@@ -2,8 +2,8 @@
 
 Layout under the cache root::
 
-    meta.sqlite                      # entry index + lifetime hit/miss stats
     objects/<kind>/<kk>/<key>.bin    # header line (JSON) + pickle payload
+    stats.jsonl                      # lifetime hit/miss counts, a line per close
 
 Each entry file is self-verifying: the JSON header records a magic string,
 the cache format version, the entry's kind/key and the sha256 of the pickle
@@ -14,10 +14,12 @@ miss — the pipeline falls back to cold computation, never crashes on and
 never silently reuses a bad entry.
 
 Writes are atomic (tmp file + ``os.replace``), so a run killed mid-``put``
-leaves either the old entry or the new one, not a torn file. The sqlite
-side is advisory: it feeds ``repro cache stats``/``gc`` and survives its
-own corruption by degrading to zeroed stats (with a warning) rather than
-taking analysis down with it.
+leaves either the old entry or the new one, not a torn file. The entry
+files are the only index: an entry's size is its file size and its last
+use is its mtime, which ``put`` and every verified hit stamp. The lifetime
+counts are advisory: a line ``stats`` cannot parse is skipped with a
+warning, never taking analysis down with it. Any other file under the
+root is ignored.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import hashlib
 import json
 import os
 import pickle
-import sqlite3
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -42,160 +43,32 @@ _STATS_KEYS = ("hits", "misses", "corrupt", "evicted")
 
 
 class SubstrateStore:
-    """One cache directory: sharded entry files plus sqlite metadata."""
+    """One cache directory: sharded entry files plus a lifetime-count log."""
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         self.objects_dir = os.path.join(self.root, "objects")
         os.makedirs(self.objects_dir, exist_ok=True)
-        self._meta_path = os.path.join(self.root, "meta.sqlite")
-        self._conn: Optional[sqlite3.Connection] = None
-        self._meta_broken = False
-        # metadata writes are batched: hundreds of verdict lookups per run
-        # must not pay a sqlite commit each — accumulate here, flush once
-        # (on close/stats/gc) in a single transaction
-        self._pending_stats: Dict[str, int] = {}
-        self._pending_index: Dict[
-            Tuple[str, str], Tuple[Optional[int], float, float, int]
-        ] = {}
-        # LRU tie-breaker: wall-clock timestamps collide (same-second puts,
-        # coarse filesystem mtimes), so every put/touch also takes the next
-        # value of this counter — eviction order among timestamp ties is
-        # then oldest-use-first, deterministically
-        self._seq = 0
-
-    # ------------------------------------------------------------------
-    # sqlite metadata (advisory: never allowed to break analysis)
-    # ------------------------------------------------------------------
-    def _meta(self) -> Optional[sqlite3.Connection]:
-        if self._meta_broken:
-            return None
-        if self._conn is None:
-            try:
-                conn = sqlite3.connect(self._meta_path, timeout=10.0)
-                conn.execute("PRAGMA busy_timeout=10000")
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS stats ("
-                    " key TEXT PRIMARY KEY, value INTEGER NOT NULL)"
-                )
-                conn.execute(
-                    "CREATE TABLE IF NOT EXISTS entries ("
-                    " kind TEXT NOT NULL, key TEXT NOT NULL,"
-                    " bytes INTEGER NOT NULL, created_ts REAL NOT NULL,"
-                    " last_used_ts REAL NOT NULL, seq INTEGER NOT NULL DEFAULT 0,"
-                    " PRIMARY KEY (kind, key))"
-                )
-                try:  # migrate pre-seq stores in place
-                    conn.execute(
-                        "ALTER TABLE entries ADD COLUMN seq INTEGER NOT NULL DEFAULT 0"
-                    )
-                except sqlite3.OperationalError:
-                    pass  # column already present
-                conn.execute(
-                    "INSERT OR IGNORE INTO stats (key, value) VALUES ('created_ts', ?)",
-                    (int(time.time()),),
-                )
-                conn.commit()
-                row = conn.execute("SELECT MAX(seq) FROM entries").fetchone()
-                self._seq = max(self._seq, int(row[0] or 0))
-                self._conn = conn
-            except sqlite3.Error as exc:
-                self._meta_broken = True
-                obs.emit_warning(
-                    f"cache: metadata db unusable ({exc}); stats/gc degraded",
-                    stage="cache",
-                    path=self._meta_path,
-                )
-                return None
-        return self._conn
-
-    def _bump(self, stat: str, amount: int = 1) -> None:
-        if self._meta() is None:  # opens the db eagerly so breakage warns once
-            return
-        self._pending_stats[stat] = self._pending_stats.get(stat, 0) + amount
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _index_put(self, kind: str, key: str, nbytes: int) -> None:
-        if self._meta() is None:
-            return
-        now = time.time()
-        self._pending_index[(kind, key)] = (nbytes, now, now, self._next_seq())
-
-    def _index_touch(self, kind: str, key: str) -> None:
-        if self._meta() is None:
-            return
-        pending = self._pending_index.get((kind, key))
-        if pending is not None and pending[0] is not None:
-            self._pending_index[(kind, key)] = (
-                pending[0], pending[1], time.time(), self._next_seq()
-            )
-        else:
-            self._pending_index[(kind, key)] = (
-                None, 0.0, time.time(), self._next_seq()
-            )
-
-    def _index_drop(self, kind: str, key: str) -> None:
-        self._pending_index.pop((kind, key), None)
-        conn = self._meta()
-        if conn is None:
-            return
-        try:
-            conn.execute("DELETE FROM entries WHERE kind = ? AND key = ?", (kind, key))
-            conn.commit()
-        except sqlite3.Error:
-            self._meta_broken = True
-
-    def _flush_meta(self) -> None:
-        """Write all batched stat bumps and index updates in one commit."""
-        if not self._pending_stats and not self._pending_index:
-            return
-        stats, index = self._pending_stats, self._pending_index
-        self._pending_stats, self._pending_index = {}, {}
-        conn = self._meta()
-        if conn is None:
-            return
-        try:
-            conn.executemany(
-                "INSERT INTO stats (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = value + ?",
-                [(stat, amount, amount) for stat, amount in stats.items()],
-            )
-            puts = [
-                (kind, key, nbytes, created, used, seq, nbytes, used, seq)
-                for (kind, key), (nbytes, created, used, seq) in index.items()
-                if nbytes is not None
-            ]
-            touches = [
-                (used, seq, kind, key)
-                for (kind, key), (nbytes, _created, used, seq) in index.items()
-                if nbytes is None
-            ]
-            if puts:
-                conn.executemany(
-                    "INSERT INTO entries (kind, key, bytes, created_ts, "
-                    "last_used_ts, seq) VALUES (?, ?, ?, ?, ?, ?) "
-                    "ON CONFLICT(kind, key) DO UPDATE SET bytes = ?, "
-                    "last_used_ts = ?, seq = ?",
-                    puts,
-                )
-            if touches:
-                conn.executemany(
-                    "UPDATE entries SET last_used_ts = ?, seq = ? "
-                    "WHERE kind = ? AND key = ?",
-                    touches,
-                )
-            conn.commit()
-        except sqlite3.Error:
-            self._meta_broken = True
+        self._stats_path = os.path.join(self.root, "stats.jsonl")
+        # counted since open; close() appends them to stats.jsonl
+        self._counts = dict.fromkeys(_STATS_KEYS, 0)
 
     # ------------------------------------------------------------------
     # entry IO
     # ------------------------------------------------------------------
     def _path(self, kind: str, key: str) -> str:
         return os.path.join(self.objects_dir, kind, key[:2], f"{key}.bin")
+
+    @staticmethod
+    def _stamp(path: str) -> None:
+        """Mark an entry used now: its mtime is the LRU clock. The time is
+        explicit because the kernel's own file stamps are tick-coarse, so
+        a burst of puts would tie."""
+        now = time.time_ns()
+        try:
+            os.utime(path, ns=(now, now))
+        except OSError:
+            pass  # e.g. a read-only cache: the old stamp stands
 
     def put(self, kind: str, key: str, obj: object) -> bool:
         """Pickle ``obj`` under (kind, key); atomic, best-effort."""
@@ -226,7 +99,7 @@ class SubstrateStore:
                 key=key,
             )
             return False
-        self._index_put(kind, key, len(header) + 1 + len(payload))
+        self._stamp(path)
         return True
 
     def get(self, kind: str, key: str) -> Optional[object]:
@@ -236,7 +109,7 @@ class SubstrateStore:
             with open(path, "rb") as fh:
                 raw = fh.read()
         except FileNotFoundError:
-            self._bump("misses")
+            self._counts["misses"] += 1
             return None
         except OSError as exc:
             self._corrupt(kind, key, path, f"unreadable ({exc})")
@@ -271,8 +144,8 @@ class SubstrateStore:
         except Exception as exc:  # any unpickling failure is corruption
             self._corrupt(kind, key, path, f"unpicklable payload ({exc})")
             return None
-        self._bump("hits")
-        self._index_touch(kind, key)
+        self._counts["hits"] += 1
+        self._stamp(path)
         return obj
 
     def _corrupt(self, kind: str, key: str, path: str, why: str) -> None:
@@ -287,71 +160,66 @@ class SubstrateStore:
         obs.metrics.counter(
             "cache.corrupt_entries", "cache entries rejected as corrupt/stale"
         ).inc()
-        self._bump("corrupt")
-        self._bump("misses")
+        self._counts["corrupt"] += 1
+        self._counts["misses"] += 1
         try:
             os.remove(path)
         except OSError:
             pass
-        self._index_drop(kind, key)
 
     # ------------------------------------------------------------------
     # stats / gc
     # ------------------------------------------------------------------
-    def _entries(self) -> List[Tuple[str, str, int, float, float, int]]:
-        """(kind, key, bytes, created_ts, last_used_ts, seq) from disk truth.
-
-        Walks the object tree (the sqlite index is advisory), merging in
-        index timestamps and use-sequence numbers when available (entries
-        the index never saw get seq 0 — older than everything tracked).
-        """
-        self._flush_meta()
-        index: Dict[Tuple[str, str], Tuple[float, float, int]] = {}
-        conn = self._meta()
-        if conn is not None:
-            try:
-                for kind, key, created, used, seq in conn.execute(
-                    "SELECT kind, key, created_ts, last_used_ts, seq FROM entries"
-                ):
-                    index[(kind, key)] = (created, used, int(seq or 0))
-            except sqlite3.Error:
-                self._meta_broken = True
-        out: List[Tuple[str, str, int, float, float, int]] = []
+    def _entries(self) -> List[Tuple[str, str, int, int]]:
+        """(kind, key, bytes, mtime_ns) of every entry file, sorted."""
+        out: List[Tuple[str, str, int, int]] = []
         for dirpath, _dirnames, filenames in os.walk(self.objects_dir):
             for filename in filenames:
                 if not filename.endswith(".bin"):
                     continue
                 kind = os.path.relpath(dirpath, self.objects_dir).split(os.sep)[0]
                 key = filename[: -len(".bin")]
-                path = os.path.join(dirpath, filename)
                 try:
-                    stat = os.stat(path)
+                    stat = os.stat(os.path.join(dirpath, filename))
                 except OSError:
                     continue
-                created, used, seq = index.get(
-                    (kind, key), (stat.st_mtime, stat.st_mtime, 0)
-                )
-                out.append((kind, key, stat.st_size, created, used, seq))
+                out.append((kind, key, stat.st_size, stat.st_mtime_ns))
         out.sort()
         return out
 
     def stats(self) -> Dict[str, object]:
-        self._flush_meta()
-        counters = {key: 0 for key in _STATS_KEYS}
+        """Entries and bytes by kind, plus the lifetime counts: every
+        ``stats.jsonl`` line and this open store's own counts."""
+        counters = dict(self._counts)
         created_ts = None
-        conn = self._meta()
-        if conn is not None:
+        try:
+            with open(self._stats_path, "rb") as fh:
+                lines = fh.read().splitlines()
+        except FileNotFoundError:
+            lines = []
+        skipped = 0
+        for line in lines:
             try:
-                for key, value in conn.execute("SELECT key, value FROM stats"):
-                    if key == "created_ts":
-                        created_ts = value
-                    elif key in counters:
-                        counters[key] = value
-            except sqlite3.Error:
-                self._meta_broken = True
+                entry = json.loads(line)
+                ts = int(entry["ts"])
+                logged = {key: int(entry.get(key, 0)) for key in _STATS_KEYS}
+            except (ValueError, TypeError, KeyError):
+                skipped += 1
+                continue
+            if created_ts is None:
+                created_ts = ts
+            for key, value in logged.items():
+                counters[key] += value
+        if skipped:
+            obs.emit_warning(
+                f"cache: skipped {skipped} unreadable line(s) in "
+                f"{self._stats_path}; lifetime counts exclude them",
+                stage="cache",
+                path=self._stats_path,
+            )
         entries = self._entries()
         by_kind: Dict[str, Dict[str, int]] = {}
-        for kind, _key, nbytes, _created, _used, _seq in entries:
+        for kind, _key, nbytes, _used in entries:
             slot = by_kind.setdefault(kind, {"entries": 0, "bytes": 0})
             slot["entries"] += 1
             slot["bytes"] += nbytes
@@ -378,22 +246,19 @@ class SubstrateStore:
         entries = self._entries()
         doomed: List[Tuple[str, str, int]] = []
         if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
+            cutoff = time.time_ns() - round(max_age_days * 86400e9)
             doomed.extend(
                 (kind, key, nbytes)
-                for kind, key, nbytes, _created, used, _seq in entries
+                for kind, key, nbytes, used in entries
                 if used < cutoff
             )
         if max_bytes is not None:
             doomed_keys = {(kind, key) for kind, key, _ in doomed}
             kept = [e for e in entries if (e[0], e[1]) not in doomed_keys]
             total = sum(e[2] for e in kept)
-            # LRU by (last-used timestamp, use sequence): the seq breaks
-            # same-timestamp ties deterministically (oldest use first);
-            # (kind, key) is the final, fully-deterministic fallback for
-            # untracked entries sharing seq 0
-            for kind, key, nbytes, _created, _used, _seq in sorted(
-                kept, key=lambda e: (e[4], e[5], e[0], e[1])
+            # LRU by last-use stamp; (kind, key) breaks equal stamps
+            for kind, key, nbytes, _used in sorted(
+                kept, key=lambda e: (e[3], e[0], e[1])
             ):
                 if total <= max_bytes:
                     break
@@ -405,21 +270,33 @@ class SubstrateStore:
                 os.remove(self._path(kind, key))
             except OSError:
                 continue
-            self._index_drop(kind, key)
             removed += 1
             freed += nbytes
-        if removed:
-            self._bump("evicted", removed)
+        self._counts["evicted"] += removed
         return {"removed": removed, "freed_bytes": freed, "kept": len(entries) - removed}
 
     def close(self) -> None:
-        self._flush_meta()
-        if self._conn is not None:
+        """Append the non-zero counts as one ``stats.jsonl`` line. A single
+        ``write`` on an ``O_APPEND`` descriptor keeps concurrent stores'
+        lines whole; a store that counted nothing writes nothing."""
+        counts = {key: value for key, value in self._counts.items() if value}
+        self._counts = dict.fromkeys(_STATS_KEYS, 0)
+        if not counts:
+            return
+        line = json.dumps({**counts, "ts": int(time.time())}, sort_keys=True)
+        try:
+            flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+            fd = os.open(self._stats_path, flags, 0o666)
             try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
+                os.write(fd, line.encode("utf-8") + b"\n")
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            obs.emit_warning(
+                f"cache: could not record lifetime counts ({exc})",
+                stage="cache",
+                path=self._stats_path,
+            )
 
 
 def corrupt_store_for_testing(root: str) -> int:

@@ -693,6 +693,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
 
         print(json.dumps(stats, indent=2))
         return 0
+    hit_rate = "n/a" if stats["hit_rate"] is None else f"{stats['hit_rate']:.1%}"
     print(f"cache: {stats['root']}")
     print(f"entries: {stats['entries']} ({stats['bytes']} bytes)")
     for kind, info in sorted(stats["by_kind"].items()):
@@ -700,7 +701,7 @@ def cmd_cache_stats(args: argparse.Namespace) -> int:
     print(
         f"hits={stats['hits']} misses={stats['misses']} "
         f"corrupt={stats['corrupt']} evicted={stats['evicted']} "
-        f"hit_rate={stats['hit_rate']:.1%}"
+        f"hit_rate={hit_rate}"
     )
     return 0
 
@@ -756,6 +757,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "$REPRO_LOG_JSON when set, else human-readable text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        """A row count: a negative one would slice rows off the end, so
+        argparse refuses it (exit 2)."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     def add_analysis_flags(p):
         p.add_argument("--selector", default="action",
                        choices=("insensitive", "kcfa", "kobj", "hybrid", "action"))
@@ -780,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run the SIERRA pipeline on an app")
     analyze.add_argument("app")
-    analyze.add_argument("--top", type=int, default=25, help="reports to print")
+    analyze.add_argument("--top", type=count, default=25, help="reports to print")
     analyze.add_argument("--ground-truth", action="store_true",
                          help="score reports against synthetic ground truth")
     analyze.add_argument("--json", action="store_true",
@@ -805,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         "top-K tables, --json schema, --flamegraph collapsed stacks",
     )
     profile_p.add_argument("app")
-    profile_p.add_argument("--top", type=int, default=10,
+    profile_p.add_argument("--top", type=count, default=10,
                            help="rows per attribution table (default 10)")
     profile_p.add_argument("--json", action="store_true",
                            help="emit the attribution summary as JSON")

@@ -170,11 +170,16 @@ class Profiler:
         self._phase: str = "pointsto"
         self._events = 0
         self._charges = 0
+        # inside a root span that is not a stage (``no_as``): its spans and
+        # charges re-run stage work that is not the stages' cost
+        self._skipping = False
         self._costs = None if _calibrated else _calibrate()
 
     # -- direct charge API (hot path: keep it flat) --------------------
     def charge_pointsto(self, signature: str, context, seconds: float) -> None:
         """Charge one worklist unit's wall time to its method + context."""
+        if self._skipping:
+            return
         self._charges += 1
         row = self._pt_methods.get(signature)
         if row is None:
@@ -188,6 +193,10 @@ class Profiler:
     # -- hook protocol --------------------------------------------------
     def __call__(self, event: diagnostics.RunEvent) -> None:
         kind = event.kind
+        if self._skipping:
+            if kind == diagnostics.SPAN_END and event.parent_id is None:
+                self._skipping = False
+            return
         if kind == diagnostics.SPAN_END:
             name = event.stage or ""
             seconds = event.seconds or 0.0
@@ -233,7 +242,9 @@ class Profiler:
                 if name in _POINTSTO_PHASES:
                     self._phase = "pointsto"
         elif kind == diagnostics.SPAN_START:
-            if event.stage in _POINTSTO_PHASES:
+            if event.parent_id is None and event.stage not in STAGE_NAMES:
+                self._skipping = True
+            elif event.stage in _POINTSTO_PHASES:
                 self._phase = event.stage
 
     # -- internals -------------------------------------------------------

@@ -258,9 +258,10 @@ class WorkerPool:
         """Held across each job's fork. sqlite's process-wide mutexes are
         copied into the child as they stand, so a fork while another
         daemon thread is inside a ledger or job-store call can leave one
-        locked forever; the child then hangs on its own first sqlite call
-        (the substrate cache's metadata db). Every daemon-side sqlite call
-        runs under one of these two locks."""
+        locked forever, and a child that then called sqlite would hang.
+        A job child makes no sqlite call (the daemon writes the job's
+        ledger rows); the guard keeps the fork safe regardless. Every
+        daemon-side sqlite call runs under one of these two locks."""
         with self.store.quiesced(), self.ledger.quiesced():
             yield
 

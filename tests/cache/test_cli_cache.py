@@ -26,6 +26,14 @@ class TestCacheSubcommands:
         out = capsys.readouterr().out
         assert "evicted" in out
 
+    def test_stats_before_any_counted_lookup(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        assert main(["cache", "stats", "--cache", str(cache)]) == 0
+        assert "hit_rate=n/a" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache", str(cache), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["hit_rate"] is None
+
     def test_missing_cache_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
         assert main(["cache", "stats"]) == 2

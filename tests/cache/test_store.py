@@ -1,6 +1,7 @@
 """Content-addressed store: roundtrip, corruption fallback, stats, gc."""
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -141,36 +142,31 @@ class TestStatsAndGc:
         store.put("verdict", "a" * 48, 1)
         assert store.gc()["removed"] == 0
 
-    def test_gc_lru_ties_break_by_insertion_order(self, tmp_path, monkeypatch):
-        """Same last-used timestamp: the earliest-inserted entry goes first.
+    def test_gc_lru_ties_break_by_key(self, tmp_path, monkeypatch):
+        """Equal last-use stamps: the smallest (kind, key) goes first.
 
-        Wall-clock timestamps have coarse resolution, so entries written in
-        one burst tie on ``last_used``; without the monotonic sequence
-        tie-breaker the eviction order depended on filesystem listing order
-        and differed run to run.
+        Entries written in one burst can share a stamp; breaking the tie
+        by key keeps eviction independent of filesystem listing order.
         """
         import repro.cache.store as store_mod
 
-        monkeypatch.setattr(store_mod.time, "time", lambda: 1_000_000.0)
+        monkeypatch.setattr(store_mod.time, "time_ns", lambda: 10**18)
         store = SubstrateStore(str(tmp_path / "cache"))
         try:
-            for key_char in ("a", "b", "c"):
+            for key_char in ("c", "b", "a"):
                 store.put("verdict", key_char * 48, key_char)
             budget = (store.stats()["bytes"] // 3) * 2 + 1  # room for two
             result = store.gc(max_bytes=budget)
             assert result["removed"] == 1
-            assert store.get("verdict", "a" * 48) is None  # oldest insert
+            assert store.get("verdict", "a" * 48) is None  # smallest key
             assert store.get("verdict", "b" * 48) == "b"
             assert store.get("verdict", "c" * 48) == "c"
         finally:
             store.close()
 
-    def test_gc_seq_survives_reopen(self, tmp_path, monkeypatch):
-        """The sequence counter persists: entries from a previous process
-        still order before a reopened store's new ones on tied timestamps."""
-        import repro.cache.store as store_mod
-
-        monkeypatch.setattr(store_mod.time, "time", lambda: 1_000_000.0)
+    def test_gc_order_survives_reopen(self, tmp_path):
+        """Recency lives on the entry files: entries from a previous
+        process order before a reopened store's new ones."""
         root = str(tmp_path / "cache")
         store = SubstrateStore(root)
         store.put("verdict", "a" * 48, "a")
@@ -186,18 +182,56 @@ class TestStatsAndGc:
         finally:
             store.close()
 
-    def test_metadata_db_unusable_degrades(self, tmp_path):
-        """A broken sqlite sidecar must never break the object store."""
+    def test_unreadable_stats_lines_are_skipped(self, tmp_path):
+        """A damaged stats.jsonl line loses its counts, never a lookup."""
         root = tmp_path / "cache"
         store = SubstrateStore(str(root))
         store.put("verdict", "a" * 48, 1)
-        store.close()
-        (root / "meta.sqlite").write_bytes(b"not a database")
+        store.get("verdict", "a" * 48)
+        store.close()  # one line: hits 1
+        log = root / "stats.jsonl"
+        with open(log, "ab") as fh:
+            fh.write(b"not a json line\n")
+            fh.write(b'["hits", 9]\n')
+            fh.write(b'{"misses": 2, "ts": 5}\n')
+            fh.write(b'{"hits": 40, "ts"')  # a writer killed mid-line
         store2 = SubstrateStore(str(root))
-        with obs.Recorder() as rec:
-            assert store2.get("verdict", "a" * 48) == 1
-        assert any("metadata db unusable" in w for w in rec.warnings())
-        store2.close()
+        try:
+            with obs.Recorder() as rec:
+                assert store2.get("verdict", "a" * 48) == 1
+                stats = store2.stats()
+            assert (stats["hits"], stats["misses"]) == (2, 2)
+            assert isinstance(stats["created_ts"], int)
+            assert [w for w in rec.warnings() if "unreadable" in w] == [
+                f"cache: skipped 3 unreadable line(s) in {log}; "
+                "lifetime counts exclude them"
+            ]
+        finally:
+            store2.close()
+
+    def test_counts_from_concurrent_processes_add_up(self, tmp_path):
+        root = str(tmp_path / "cache")
+        context = multiprocessing.get_context("fork")
+        children = [
+            context.Process(target=_miss_five_times, args=(root,)) for _ in range(3)
+        ]
+        for child in children:
+            child.start()
+        for child in children:
+            child.join(60)
+            assert child.exitcode == 0
+        store = SubstrateStore(root)
+        try:
+            assert store.stats()["misses"] == 15
+        finally:
+            store.close()
+
+
+def _miss_five_times(root):
+    store = SubstrateStore(root)
+    for digit in "01234":
+        store.get("verdict", digit * 48)
+    store.close()
 
 
 class TestEnvHelper:

@@ -55,6 +55,36 @@ class TestWarmEqualsCold:
         )
         assert warm_scrape["refutation.nodes_expanded"] == 0
 
+    def test_sharded_batch_over_one_cache(self, tmp_path):
+        """Two shard children put, stamp and count into one cache at once;
+        the warm pass replays every app from it and misses nothing."""
+        from repro.cache import SubstrateStore
+        from repro.corpus.driver import run_corpus
+
+        apps = ["quickstart", "newsreader", "dbapp", "opensudoku", "paper:APV"]
+        cache = str(tmp_path / "cache")
+
+        def batch():
+            run = run_corpus(apps, options=SierraOptions(cache_dir=cache), shards=2)
+            store = SubstrateStore(cache)
+            try:
+                return run.records, store.stats()
+            finally:
+                store.close()
+
+        def rows(record):
+            return sorted((r["fingerprint"], r["verdict"]) for r in record.races)
+
+        cold, cold_stats = batch()
+        warm, warm_stats = batch()
+        assert [r.app for r in warm] == [r.app for r in cold] == apps
+        assert [rows(r) for r in warm] == [rows(r) for r in cold]
+        assert all(rows(r) for r in cold)
+        hits = [r.metrics["cache.substrate_hits"]["value"] for r in warm]
+        assert hits == [1] * len(apps)
+        assert warm_stats["misses"] == cold_stats["misses"]
+        assert warm_stats["hits"] - cold_stats["hits"] >= len(apps)
+
     def test_uncached_run_records_nothing(self):
         _, scrape = run("quickstart")
         assert scrape.get("cache.substrate_hits", 0) == 0

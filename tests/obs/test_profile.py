@@ -161,6 +161,29 @@ class TestSerialEqualsSharded:
         )
 
 
+class TestCompareNoAs:
+    def test_no_as_reanalysis_is_not_charged_to_the_stages(self):
+        """``--compare-no-as`` re-runs extraction and the HB rules under its
+        own ``no_as`` root span; none of that is stage cost."""
+
+        def profile(compare_without_as):
+            options = SierraOptions(compare_without_as=compare_without_as)
+            with profiled() as prof:
+                Sierra(options).analyze(load_app("opensudoku"))
+            return prof.summary()
+
+        plain, with_no_as = profile(False), profile(True)
+        for key in ("events", "charges"):
+            assert with_no_as[key] == plain[key], key
+
+        def counts(summary):
+            return {kind: total["count"] for kind, total in summary["totals"].items()}
+
+        assert counts(with_no_as) == counts(plain)
+        for kind in ("extract.phase", "hb.rule"):
+            assert {row["count"] for row in with_no_as["units"][kind]} == {1}, kind
+
+
 @pytest.mark.profile_smoke
 class TestProfileCli:
     def test_profile_command_writes_json_and_flamegraph(self, tmp_path, capsys):

@@ -56,6 +56,14 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert out.count("guard-var") <= 1
 
+    @pytest.mark.parametrize("command", ["analyze", "profile"])
+    def test_negative_top_is_a_usage_error(self, command, capsys):
+        # a negative count would slice rows off the end of the table
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "quickstart", "--top", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --top: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_ground_truth_scoring(self, capsys):
         assert main(["analyze", "paper:VuDroid", "--ground-truth"]) == 0
         out = capsys.readouterr().out

@@ -2,7 +2,8 @@
 
 ``repro analyze`` loads only the analysis engine: the ledger, dashboard,
 telemetry, corpus batch driver, serve daemon, substrate store and the
-process-pool machinery stay unimported until a command needs them. Every
+process-pool machinery stay unimported until a command needs them; with
+``--cache`` it loads the substrate store, and still not ``sqlite3``. Every
 public name still resolves, through the packages' module-level
 ``__getattr__``. Processes that fork analysis children import, before
 their first fork, the modules those children would import on demand.
@@ -62,31 +63,45 @@ def _run(script: str, *args: str, timeout: float = 120) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_analyze_imports_only_the_engine():
-    out = _run(
-        """
-        import io, json, runpy, sys
-        from contextlib import redirect_stdout
+#: runs ``repro analyze quickstart --json`` plus the flags in argv[1:]
+_ANALYZE = """
+    import io, json, runpy, sys
+    from contextlib import redirect_stdout
 
-        sys.argv = ["repro", "analyze", "quickstart", "--json"]
-        report = io.StringIO()
-        with redirect_stdout(report):
-            try:
-                runpy.run_module("repro", run_name="__main__", alter_sys=True)
-            except SystemExit as exc:
-                code = exc.code
-        print(json.dumps({
-            "code": code,
-            "races": len(json.loads(report.getvalue())["reports"]),
-            "modules": sorted(sys.modules),
-        }))
-        """
-    )
+    sys.argv = ["repro", "analyze", "quickstart", "--json", *sys.argv[1:]]
+    report = io.StringIO()
+    with redirect_stdout(report):
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps({
+        "code": code,
+        "races": len(json.loads(report.getvalue())["reports"]),
+        "modules": sorted(sys.modules),
+    }))
+    """
+
+
+def test_analyze_imports_only_the_engine():
+    out = _run(_ANALYZE)
     assert out["code"] == 0
     assert out["races"] >= 1
     loaded = set(out["modules"])
     assert [m for m in NOT_FOR_ANALYZE if m in loaded] == []
     assert "repro.core.detector" in loaded
+
+
+def test_cached_analyze_makes_no_sqlite_call(tmp_path):
+    """The substrate cache keeps its state in plain files: a cached run
+    never loads sqlite3, so a forked analysis child cannot hang on an
+    sqlite mutex it inherited."""
+    cache = tmp_path / "cache"
+    out = _run(_ANALYZE, "--cache", str(cache))
+    assert out["code"] == 0
+    assert "repro.cache.store" in out["modules"]
+    assert "sqlite3" not in out["modules"]
+    assert sorted(os.listdir(cache)) == ["objects", "stats.jsonl"]
 
 
 def test_every_public_name_still_resolves():
