@@ -202,8 +202,7 @@ class ActionExtractor:
                     break
             if main is None:
                 continue
-            main_mcs = [mc for mc in cg.nodes if mc.method is main]
-            for main_mc in main_mcs:
+            for main_mc in cg.contexts_of(main):
                 for callee_mc in cg.callees_at(main_mc, site.instr):
                     entry = callee_mc.method
                     label = f"{site.component.rpartition('.')[2]}.{entry.name}"
@@ -260,13 +259,11 @@ class ActionExtractor:
 
     def _in_action_methods(self, phase_a: PointsToResult, entry: Method) -> List[Method]:
         cg = phase_a.call_graph
-        entry_mcs = [mc for mc in cg.nodes if mc.method is entry]
-        members = cg.reachable_from(entry_mcs, synchronous_only=True)
-        seen: List[Method] = [entry]
+        members = cg.reachable_from(cg.contexts_of(entry), synchronous_only=True)
+        seen: Dict[Method, None] = {entry: None}
         for mc in members:
-            if mc.method not in seen:
-                seen.append(mc.method)
-        return seen
+            seen.setdefault(mc.method)
+        return list(seen)
 
     def _posted_kind(self, edge: CallEdge) -> ActionKind:
         if edge.via == "task":
@@ -346,9 +343,7 @@ class ActionExtractor:
         if short in UI_POST_APIS:
             return Affinity.MAIN
         loopers = []
-        for mc in result.call_graph.nodes:
-            if mc.method is not action.creation_method:
-                continue
+        for mc in result.call_graph.contexts_of(action.creation_method):
             for recv in result.var(mc, site.receiver.name):
                 cls = getattr(recv, "class_name", "")
                 if self.apk.program.is_subtype(cls, "android.view.View"):

@@ -150,7 +150,7 @@ class HarnessGenerator:
         it (shared helpers register for several activities)."""
         found = False
         for activity, main in model.mains.items():
-            roots = [mc for mc in result.call_graph.nodes if mc.method is main]
+            roots = result.call_graph.contexts_of(main)
             for mc in result.call_graph.reachable_from(roots):
                 cls = self.program.classes.get(mc.method.class_name)
                 if cls is None or cls.is_framework:

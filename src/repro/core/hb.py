@@ -251,25 +251,25 @@ class HBBuilder:
                 self.shbg.add(parent_id, action.id, "R1-invocation")
 
     def _rule23_harness_dominance(self) -> None:
-        """Rules 2 and 3: dominance between event sites in a harness main."""
+        """Rules 2 and 3: dominance between event sites in a harness main.
+
+        Each site's dominance key is read once per harness, so the pair
+        loop compares integers; it visits pairs in site order."""
         sites_by_harness: Dict[str, List[HarnessSite]] = {}
         for site in self.ext.harness.sites:
             sites_by_harness.setdefault(site.harness_class, []).append(site)
         mains = {m.class_name: m for m in self.ext.harness.mains.values()}
         for harness_class, sites in sites_by_harness.items():
-            main = mains[harness_class]
-            cfg = main.cfg
-            for s1 in sites:
-                a1s = self._site_actions.get(id(s1.instr), [])
-                if not a1s:
-                    continue
-                for s2 in sites:
-                    if s1 is s2:
-                        continue
-                    a2s = self._site_actions.get(id(s2.instr), [])
-                    if not a2s:
-                        continue
-                    if cfg.instruction_dominates(s1.instr, s2.instr):
+            cfg = mains[harness_class].cfg
+            keyed = []
+            for site in sites:
+                actions = self._site_actions.get(id(site.instr))
+                if actions:
+                    keyed.append((site, actions) + cfg.dominance_key(site.instr))
+            for s1, a1s, number1, end1 in keyed:
+                for s2, a2s, number2, _ in keyed:
+                    # strict: a site never dominates itself
+                    if number1 < number2 <= end1:
                         rule = (
                             "R2-lifecycle"
                             if s1.kind.name == "LIFECYCLE" and s2.kind.name == "LIFECYCLE"

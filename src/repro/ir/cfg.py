@@ -39,9 +39,6 @@ class BasicBlock:
     def terminator(self) -> Optional[Instruction]:
         return self.instructions[-1] if self.instructions else None
 
-    def __hash__(self) -> int:
-        return hash(id(self))
-
     def __repr__(self) -> str:
         tag = self.label or f"bb{self.index}"
         return f"<BB {tag} n={len(self.instructions)}>"
@@ -60,11 +57,10 @@ class ControlFlowGraph:
         self.graph: Digraph[BasicBlock] = Digraph()
         self._by_label: Dict[str, BasicBlock] = {}
         self._build(instructions)
-        self._idom: Optional[Dict[BasicBlock, BasicBlock]] = None
-        # query caches (blocks are identity-keyed; the CFG never mutates
-        # after _build, so cached answers stay valid)
-        self._block_of: Optional[Dict[int, BasicBlock]] = None
-        self._dom_cache: Dict[Tuple[int, int], bool] = {}
+        # dominance numbering, built on the first query (the CFG never
+        # mutates after _build, so the numbers stay valid)
+        self._interval: Dict[BasicBlock, Tuple[int, int]] = {}
+        self._position: Optional[Dict[int, Tuple[BasicBlock, int, int]]] = None
 
     # ------------------------------------------------------------------
     def _build(self, instructions: List[Instruction]) -> None:
@@ -141,16 +137,7 @@ class ControlFlowGraph:
         return self.graph.predecessors(block)
 
     def block_containing(self, instr: Instruction) -> BasicBlock:
-        if self._block_of is None:
-            self._block_of = {
-                id(candidate): block
-                for block in self.blocks
-                for candidate in block.instructions
-            }
-        block = self._block_of.get(id(instr))
-        if block is None:
-            raise ValueError("instruction not in this CFG")
-        return block
+        return self._locate(instr)[0]
 
     def instructions(self) -> Iterator[Tuple[BasicBlock, Instruction]]:
         for block in self.blocks:
@@ -158,18 +145,52 @@ class ControlFlowGraph:
                 yield block, instr
 
     # ------------------------------------------------------------------
-    def immediate_dominators(self) -> Dict[BasicBlock, BasicBlock]:
-        if self._idom is None:
-            self._idom = self.graph.immediate_dominators(self.entry)
-        return self._idom
+    def _locate(self, instr: Instruction) -> Tuple[BasicBlock, int, int]:
+        if self._position is None:
+            self._number()
+        try:
+            return self._position[id(instr)]
+        except KeyError:
+            raise ValueError("instruction not in this CFG") from None
+
+    def _number(self) -> None:
+        """Number blocks and instructions once for O(1) dominance.
+
+        Blocks get their dominator-tree interval ``(pre, last)``; each
+        unreachable block follows as an interval of its own, so it
+        dominates nothing but itself. With ``width`` above every block's
+        length, the instruction at offset ``k`` of a block is numbered
+        ``pre * width + k`` and its dominated range ends at ``last * width
+        + width - 1``: ``a`` dominates ``b`` iff ``number(a) < number(b)
+        <= end(a)`` — a later offset in a's block, or any offset in a block
+        that a's block strictly dominates.
+        """
+        interval = self.graph.dominator_intervals(self.entry)
+        for block in self.blocks:
+            if block not in interval:
+                interval[block] = (len(interval), len(interval))
+        width = 1 + max(len(block.instructions) for block in self.blocks)
+        position: Dict[int, Tuple[BasicBlock, int, int]] = {}
+        for block in self.blocks:
+            pre, last = interval[block]
+            end = last * width + width - 1
+            for offset, instr in enumerate(block.instructions):
+                position[id(instr)] = (block, pre * width + offset, end)
+        self._interval = interval
+        self._position = position
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        key = (id(a), id(b))
-        hit = self._dom_cache.get(key)
-        if hit is None:
-            hit = self.graph.dominates(self.immediate_dominators(), a, b)
-            self._dom_cache[key] = hit
-        return hit
+        if self._position is None:
+            self._number()
+        pre_a, last_a = self._interval[a]
+        return pre_a <= self._interval[b][0] <= last_a
+
+    def dominance_key(self, instr: Instruction) -> Tuple[int, int]:
+        """``(number, end)`` of ``instr``: it dominates exactly the
+        instructions numbered in ``(number, end]``. HB rules 2/3 read each
+        harness site's key once and compare integers per pair."""
+        _, number, end = self._locate(instr)
+        return number, end
 
     def instruction_dominates(self, a: Instruction, b: Instruction) -> bool:
         """Does instruction ``a`` dominate instruction ``b``?
@@ -177,10 +198,5 @@ class ControlFlowGraph:
         Within one block this is positional; across blocks it is block
         dominance. Used directly by HB rule 4.
         """
-        block_a = self.block_containing(a)
-        block_b = self.block_containing(b)
-        if block_a is block_b:
-            ia = next(i for i, x in enumerate(block_a.instructions) if x is a)
-            ib = next(i for i, x in enumerate(block_b.instructions) if x is b)
-            return ia < ib
-        return self.dominates(block_a, block_b)
+        _, number_a, end_a = self._locate(a)
+        return number_a < self._locate(b)[1] <= end_a

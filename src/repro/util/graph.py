@@ -181,16 +181,35 @@ class Digraph(Generic[N]):
                     changed = True
         return idom
 
-    def dominates(self, idom: Dict[N, N], a: N, b: N) -> bool:
-        """Does ``a`` dominate ``b`` under the immediate-dominator map?"""
-        if a == b:
-            return True
-        node = b
-        while node in idom and idom[node] != node:
-            node = idom[node]
-            if node == a:
-                return True
-        return False
+    def dominator_intervals(self, entry: N) -> Dict[N, Tuple[int, int]]:
+        """``(pre, last)`` for every node reachable from ``entry``, in
+        preorder of one DFS over the dominator tree.
+
+        ``last`` is the largest preorder number in the node's subtree, so
+        ``a`` dominates ``b`` iff ``pre(a) <= pre(b) <= last(a)``: every
+        dominance query after this is two integer comparisons. Unreachable
+        nodes are absent, as in :meth:`immediate_dominators`.
+        """
+        idom = self.immediate_dominators(entry)
+        children: Dict[N, List[N]] = {node: [] for node in idom}
+        for node, parent in idom.items():
+            if node != entry:
+                children[parent].append(node)
+        order: List[N] = []
+        stack = [entry]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(reversed(children[node]))
+        pre = {node: i for i, node in enumerate(order)}
+        last = dict(pre)
+        # children follow their parent in preorder, so a reverse sweep
+        # finishes every subtree before its root reads it
+        for node in reversed(order):
+            if node != entry:
+                parent = idom[node]
+                last[parent] = max(last[parent], last[node])
+        return {node: (pre[node], last[node]) for node in order}
 
     def _reverse_postorder(self, entry: N) -> List[N]:
         seen: Set[N] = set()

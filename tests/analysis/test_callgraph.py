@@ -1,5 +1,7 @@
 """Call graph structure and in-action (synchronous-only) reachability."""
 
+import pickle
+
 from repro.analysis.callgraph import CallGraph, MethodContext
 from repro.ir.instructions import Invoke, InvokeKind
 from repro.ir.program import Method
@@ -55,9 +57,28 @@ class TestStructure:
 
         mc1 = MethodContext(m, EMPTY_CONTEXT.with_action(1))
         mc2 = MethodContext(m, EMPTY_CONTEXT.with_action(2))
-        cg.add_node(mc1)
+        mc3 = MethodContext(m, EMPTY_CONTEXT.with_action(3))
+        other = node("other")
         cg.add_node(mc2)
-        assert set(cg.contexts_of(m)) == {mc1, mc2}
+        cg.add_edge(mc1, site(), other)
+        cg.add_node(mc3)
+        cg.add_node(mc2)
+        # insertion order, each node once; a copy, not the index itself
+        assert cg.contexts_of(m) == [mc2, mc1, mc3]
+        cg.contexts_of(m).clear()
+        assert cg.contexts_of(m) == [mc2, mc1, mc3]
+        assert cg.contexts_of(Method("t.C", "m")) == []
+
+        restored = pickle.loads(pickle.dumps(cg))
+        m2 = restored.nodes[0].method
+        assert [mc.context for mc in restored.contexts_of(m2)] == [
+            mc2.context,
+            mc1.context,
+            mc3.context,
+        ]
+        assert "_contexts" not in cg.__getstate__()
+        restored.add_node(MethodContext(m2, EMPTY_CONTEXT.with_action(4)))
+        assert len(restored.contexts_of(m2)) == 4
 
 
 class TestReachability:

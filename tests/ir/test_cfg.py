@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.cli import load_app
+from repro.core.harness import generate_harnesses
 from repro.ir.builder import ProgramBuilder
 from repro.ir.cfg import ControlFlowGraph
 from repro.ir.instructions import CmpOp
+from tests.util.test_graph import dominates
 
 
 def build_method(emit):
@@ -115,6 +118,35 @@ class TestInstructionDominance:
         with pytest.raises(ValueError):
             cfg.block_containing(Nop())
 
+    def test_unreachable_block_dominates_only_within_itself(self):
+        pb = ProgramBuilder()
+        mb = pb.new_class("t.C").method("m")
+        head = mb.const("x", 1)
+        early = mb.ret()
+        dead1 = mb.const("y", 2)
+        dead2 = mb.const("z", 3)
+        mb.ret()
+        cfg = mb.method.cfg
+        dead = cfg.block_containing(dead1)
+        assert dead is cfg.block_containing(dead2)
+        assert cfg.instruction_dominates(dead1, dead2)
+        assert not cfg.instruction_dominates(dead2, dead1)
+        assert not cfg.instruction_dominates(head, dead1)
+        assert not cfg.instruction_dominates(dead1, early)
+        assert cfg.instruction_dominates(head, early)
+        assert cfg.dominates(dead, dead)
+        assert not cfg.dominates(cfg.entry, dead)
+        assert not cfg.dominates(dead, cfg.exit)
+
+    def test_an_instruction_does_not_dominate_itself(self):
+        pb = ProgramBuilder()
+        mb = pb.new_class("t.C").method("m")
+        only = mb.const("x", 1)
+        mb.ret()
+        cfg = mb.method.cfg
+        assert not cfg.instruction_dominates(only, only)
+        assert cfg.dominates(cfg.entry, cfg.entry)
+
 
 class TestDominatorsOnHarnessShape:
     """The lifecycle-harness CFG shape that HB rule 2 relies on."""
@@ -143,3 +175,45 @@ class TestDominatorsOnHarnessShape:
         assert not cfg.instruction_dominates(by_dst["resume2"], by_dst["stop1"])
         assert not cfg.instruction_dominates(by_dst["stop1"], by_dst["resume2"])
         assert cfg.instruction_dominates(by_dst["create"], by_dst["stop1"])
+
+
+def _locate(cfg, instr):
+    """(block, offset) by scanning the blocks, independent of the CFG's index."""
+    for block in cfg.blocks:
+        for offset, candidate in enumerate(block.instructions):
+            if candidate is instr:
+                return block, offset
+    raise AssertionError("instruction not in the CFG")
+
+
+class TestDominanceOnHarnessMains:
+    """The numbering answers what the immediate-dominator chain walk
+    answers, on the harness mains HB rules 2/3 read: every ordered pair of
+    event sites, and every pair of blocks."""
+
+    @pytest.mark.parametrize(
+        "app",
+        ["paper:K-9 Mail"] + [f"family:{f}:2:1" for f in ("mesh", "storm", "lifecycle", "looper", "chain")],
+        ids=lambda app: app.replace(" ", "_"),
+    )
+    def test_site_pairs_match_the_idom_chain_walk(self, app):
+        model = generate_harnesses(load_app(app))
+        for activity, main in model.mains.items():
+            cfg = main.cfg
+            idom = cfg.graph.immediate_dominators(cfg.entry)
+            for a in cfg.blocks:
+                for b in cfg.blocks:
+                    assert cfg.dominates(a, b) == dominates(idom, a, b)
+            sites = [
+                (site.instr,) + _locate(cfg, site.instr)
+                for site in model.sites_of_harness(activity)
+            ]
+            assert len(sites) > 1
+            for instr_a, block_a, offset_a in sites:
+                assert cfg.block_containing(instr_a) is block_a
+                for instr_b, block_b, offset_b in sites:
+                    if block_a is block_b:
+                        expected = offset_a < offset_b
+                    else:
+                        expected = dominates(idom, block_a, block_b)
+                    assert cfg.instruction_dominates(instr_a, instr_b) == expected

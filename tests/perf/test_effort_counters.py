@@ -155,6 +155,26 @@ EXPECTED = {
             "R6-transitivity": 2085,
         },
     },
+    # a size-3 family app of corpus-rescan's seed-1 fill: HB rules 2/3 at
+    # harness scale (4 mains of 118 event sites each)
+    "family:mesh:3:100015": {
+        "harnesses": 4,
+        "actions": 472,
+        "hb_edges": 2228,
+        "closure_ops": 1334,
+        "pointsto_worklist_iterations": 1676,
+        "refutation_nodes_expanded": 1536,
+        "refutation_cache_hits": 0,
+        "racy_pairs": 128,
+        "races_after_refutation": 128,
+        "edges_by_rule": {
+            "R1-invocation": 256,
+            "R2-lifecycle": 52,
+            "R3-gui-order": 828,
+            "R2c-launch": 3,
+            "R3b-visibility": 192,
+        },
+    },
 }
 
 

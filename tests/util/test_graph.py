@@ -24,6 +24,32 @@ def chain(*nodes):
     return g
 
 
+def dominates(idom, a, b):
+    """Reference dominance: walk ``b``'s immediate-dominator chain looking
+    for ``a``. A node absent from ``idom`` (unreachable) is dominated only
+    by itself. The oracle for :meth:`Digraph.dominator_intervals` and
+    ``ControlFlowGraph.instruction_dominates``."""
+    if a == b:
+        return True
+    node = b
+    while node in idom and idom[node] != node:
+        node = idom[node]
+        if node == a:
+            return True
+    return False
+
+
+def interval_dominates(intervals, a, b):
+    """Dominance read off :meth:`Digraph.dominator_intervals`, with the
+    oracle's convention for unreachable nodes."""
+    if a == b:
+        return True
+    if a not in intervals or b not in intervals:
+        return False
+    pre_a, last_a = intervals[a]
+    return pre_a <= intervals[b][0] <= last_a
+
+
 class TestDigraphBasics:
     def test_add_node_idempotent(self):
         g = Digraph()
@@ -116,8 +142,10 @@ class TestDominators:
             g.add_edge(a, b)
         idom = g.immediate_dominators("e")
         assert idom["j"] == "e"
-        assert g.dominates(idom, "e", "j")
-        assert not g.dominates(idom, "l", "j")
+        intervals = g.dominator_intervals("e")
+        assert interval_dominates(intervals, "e", "j")
+        assert not interval_dominates(intervals, "l", "j")
+        assert dominates(idom, "e", "j") and not dominates(idom, "l", "j")
 
     def test_loop_header_dominates_body(self):
         g = Digraph()
@@ -125,37 +153,55 @@ class TestDominators:
         g.add_edge("h", "b")
         g.add_edge("b", "h")
         g.add_edge("h", "x")
-        idom = g.immediate_dominators("e")
-        assert g.dominates(idom, "h", "b")
-        assert g.dominates(idom, "h", "x")
+        intervals = g.dominator_intervals("e")
+        assert interval_dominates(intervals, "h", "b")
+        assert interval_dominates(intervals, "h", "x")
+        assert not interval_dominates(intervals, "b", "x")
 
     def test_unreachable_nodes_absent(self):
         g = chain(1, 2)
         g.add_node(99)
         idom = g.immediate_dominators(1)
         assert 99 not in idom
+        assert 99 not in g.dominator_intervals(1)
 
     def test_unknown_entry_raises(self):
         g = chain(1, 2)
         with pytest.raises(KeyError):
             g.immediate_dominators(42)
+        with pytest.raises(KeyError):
+            g.dominator_intervals(42)
 
     def test_self_domination(self):
         g = chain(1, 2)
         idom = g.immediate_dominators(1)
-        assert g.dominates(idom, 2, 2)
+        assert dominates(idom, 2, 2)
+        assert interval_dominates(g.dominator_intervals(1), 2, 2)
+
+    def test_intervals_are_preorder(self):
+        g = Digraph()
+        for a, b in [("e", "a"), ("e", "b"), ("a", "c"), ("b", "c")]:
+            g.add_edge(a, b)
+        intervals = g.dominator_intervals("e")
+        assert list(intervals) == sorted(intervals, key=lambda n: intervals[n][0])
+        assert intervals["e"] == (0, 3)
+        assert sorted(pre for pre, _ in intervals.values()) == [0, 1, 2, 3]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=25))
     def test_dominators_match_bruteforce(self, edges):
         """Dominance(a, b) iff every entry→b path passes a — checked by
-        enumerating acyclic simple paths on small random graphs."""
+        enumerating acyclic simple paths on small random graphs (self-loops
+        and unreachable nodes included), for the interval numbering and
+        the idom-chain oracle alike."""
         g = Digraph()
         g.add_node(0)
         for a, b in edges:
             g.add_edge(a, b)
         idom = g.immediate_dominators(0)
+        intervals = g.dominator_intervals(0)
         reachable = g.reachable_from(0)
+        assert set(intervals) == reachable
 
         def all_paths(target, limit=4000):
             paths, stack = [], [(0, [0])]
@@ -173,7 +219,11 @@ class TestDominators:
             paths = all_paths(b)
             for a in sorted(reachable):
                 brute = all(a in p for p in paths) if paths else True
-                assert g.dominates(idom, a, b) == brute
+                assert dominates(idom, a, b) == brute
+                assert interval_dominates(intervals, a, b) == brute
+        for a in g.nodes:
+            for b in g.nodes:
+                assert interval_dominates(intervals, a, b) == dominates(idom, a, b)
 
 
 class TestTransitiveClosure:
