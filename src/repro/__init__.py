@@ -24,10 +24,21 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from repro.core.detector import Sierra, SierraOptions, SierraResult, analyze_apk
-from repro.core.report import RaceReport, SierraReport
+import importlib
 
 __version__ = "1.0.0"
+
+#: the engine loads on first access (module-level ``__getattr__``), so
+#: ``python -m repro`` imports it only after ``repro/__main__.py`` has
+#: set the process's garbage-collection policy
+_LAZY_NAMES = {
+    "Sierra": "core.detector",
+    "SierraOptions": "core.detector",
+    "SierraResult": "core.detector",
+    "analyze_apk": "core.detector",
+    "RaceReport": "core.report",
+    "SierraReport": "core.report",
+}
 
 __all__ = [
     "RaceReport",
@@ -38,3 +49,10 @@ __all__ = [
     "analyze_apk",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,10 @@ class Layout:
     views: List[ViewDecl] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self._registry: "LayoutRegistry | None" = None
+        # the owning registry's id index, shared rather than a reference
+        # to the registry: registry -> layout -> registry would be a cycle
+        # that only the cyclic garbage collector could free
+        self._index: "Dict[int, ViewDecl] | None" = None
 
     def add_view(
         self,
@@ -54,8 +57,8 @@ class Layout:
             static_callbacks=static_callbacks,
         )
         self.views.append(decl)
-        if self._registry is not None:
-            self._registry._index_view(decl)
+        if self._index is not None:
+            _index_view(self._index, decl)
         return decl
 
     def view_by_id(self, view_id: int) -> Optional[ViewDecl]:
@@ -66,6 +69,16 @@ class Layout:
 
     def __iter__(self) -> Iterator[ViewDecl]:
         return iter(self.views)
+
+
+def _index_view(by_id: Dict[int, ViewDecl], decl: ViewDecl) -> None:
+    existing = by_id.get(decl.view_id)
+    if existing is not None and existing.widget_class != decl.widget_class:
+        raise ValueError(
+            f"view id {decl.view_id} declared as both "
+            f"{existing.widget_class} and {decl.widget_class}"
+        )
+    by_id[decl.view_id] = decl
 
 
 class LayoutRegistry:
@@ -82,19 +95,10 @@ class LayoutRegistry:
 
     def add_layout(self, layout: Layout) -> Layout:
         self._layouts[layout.name] = layout
-        layout._registry = self
+        layout._index = self._by_id
         for decl in layout.views:
-            self._index_view(decl)
+            _index_view(self._by_id, decl)
         return layout
-
-    def _index_view(self, decl: ViewDecl) -> None:
-        existing = self._by_id.get(decl.view_id)
-        if existing is not None and existing.widget_class != decl.widget_class:
-            raise ValueError(
-                f"view id {decl.view_id} declared as both "
-                f"{existing.widget_class} and {decl.widget_class}"
-            )
-        self._by_id[decl.view_id] = decl
 
     def new_layout(self, name: str) -> Layout:
         return self.add_layout(Layout(name))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import os
 import signal
 import sys
@@ -367,6 +368,10 @@ def _profile(args: argparse.Namespace, ledger) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the analysis daemon in the foreground until interrupted."""
+    # ``python -m repro`` turns automatic collection off for one-shot
+    # commands; a long-lived daemon needs it back, because exceptions in
+    # its HTTP threads form reference cycles
+    gc.enable()
     from repro.serve import ServeDaemon, ServeError
 
     history = _history_path(args)
@@ -871,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "budget (testing aid, repeatable)")
     batch.add_argument("--inject-cache-corrupt", action="append", metavar="APP",
                        help="fault injection: corrupt every cache entry "
-                       "before APP's analysis runs (testing aid, repeatable; "
-                       "requires --cache)")
+                       "before the batch starts, reported on APP's record "
+                       "(testing aid, repeatable; requires --cache)")
     batch.add_argument("--shards", type=int, default=1,
                        help="worker-pool width for the sharded scheduler "
                        "(default 1; per-shard refutation parallelism is "

@@ -30,6 +30,7 @@ has never been tested.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import logging
 import multiprocessing
 import platform
@@ -199,13 +200,16 @@ def _execute_app(
     options_dict: Dict[str, object],
     inject_fail: bool,
     inject_hang_s: float,
-    inject_cache_corrupt: bool = False,
+    corrupted_entries: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run one app's pipeline; return the JSON-ready payload.
 
     Raises whatever the pipeline raises — the caller decides whether that
     crosses a process boundary (isolated mode) or a try/except (inline).
     Installs no obs hook: the caller owns the app's event list.
+    ``corrupted_entries`` is set for an app named by
+    ``--inject-cache-corrupt``: how many cache entries the batch truncated
+    before its first app started, reported as a warning on this app.
     """
     from repro.cli import load_app
     from repro.core import Sierra, SierraOptions
@@ -223,15 +227,12 @@ def _execute_app(
             # parent's timeout record name the stage the worker died inside
             with obs.span("inject-hang", app=name):
                 time.sleep(inject_hang_s)
-        if inject_cache_corrupt and options_dict.get("cache_dir"):
-            from repro.cache import corrupt_store_for_testing
-
-            damaged = corrupt_store_for_testing(str(options_dict["cache_dir"]))
+        if corrupted_entries is not None:
             obs.emit_warning(
                 f"injected cache corruption for {name!r}: truncated "
-                f"{damaged} entries (--inject-cache-corrupt)",
+                f"{corrupted_entries} entries (--inject-cache-corrupt)",
                 stage="cache",
-                entries=damaged,
+                entries=corrupted_entries,
             )
         apk = load_app(name)
         result = Sierra(SierraOptions(**options_dict)).analyze(apk)
@@ -267,13 +268,13 @@ def _run_one_inline(
     options_dict: Dict[str, object],
     inject_fail: bool,
     inject_hang_s: float,
-    inject_cache_corrupt: bool = False,
+    corrupted_entries: Optional[int] = None,
 ) -> AppRunRecord:
     t0 = time.perf_counter()
     with obs.Recorder() as recorder:
         try:
             payload = _execute_app(
-                name, options_dict, inject_fail, inject_hang_s, inject_cache_corrupt
+                name, options_dict, inject_fail, inject_hang_s, corrupted_entries
             )
         except Exception as exc:
             payload = _error_payload(exc)
@@ -344,10 +345,12 @@ def run_corpus(
     ``inject_fail`` / ``inject_hang`` name apps whose worker raises /
     sleeps past the budget before analysis — the fault-injection hooks the
     acceptance tests (and operators validating a deployment) use.
-    ``inject_cache_corrupt`` names apps whose worker truncates every
-    persistent-cache entry before analysis (no-op without
-    ``options.cache_dir``): the corruption-fallback testing aid — the app
-    must still analyze correctly, cold, with a loud warning.
+    ``inject_cache_corrupt`` names apps whose run reports that every
+    persistent-cache entry was truncated (no-op without
+    ``options.cache_dir``): the corruption-fallback testing aid — every
+    app must still analyze correctly, cold, with a loud warning. The
+    truncation happens once, before the first app starts, so no shard
+    reads the cache while it is being damaged.
 
     ``history`` names a run-history ledger db: the batch appends one run
     row, one app row per analyzed app (stages, metrics scrape, fingerprinted
@@ -391,6 +394,19 @@ def run_corpus(
         # open (and validate) the ledger before any app runs: a corrupt db
         # must fail the batch up front, not after 20 apps of work
         ledger = RunLedger(history)
+
+    # damage the cache once, before any app runs: shards read it
+    # concurrently, so truncating it from inside one app's run would race
+    # the others and make the pass depend on timing
+    corrupted: Optional[int] = None
+    corrupt_apps = set(inject_cache_corrupt) & set(names)
+    if corrupt_apps and options_dict.get("cache_dir"):
+        from repro.cache import corrupt_store_for_testing
+
+        corrupted = corrupt_store_for_testing(str(options_dict["cache_dir"]))
+
+    def corrupted_for(name: str) -> Optional[int]:
+        return corrupted if name in corrupt_apps else None
 
     run = RunReport(
         timeout_s=timeout_s,
@@ -451,7 +467,7 @@ def run_corpus(
                     cost=estimate_cost(name),
                     inject_fail=name in inject_fail,
                     inject_hang_s=hang_s if name in inject_hang else 0.0,
-                    inject_cache_corrupt=name in inject_cache_corrupt,
+                    corrupted_entries=corrupted_for(name),
                 )
                 for i, name in enumerate(names)
             ]
@@ -474,9 +490,10 @@ def run_corpus(
             for name in names:
                 fail = name in inject_fail
                 hang = hang_s if name in inject_hang else 0.0
-                corrupt = name in inject_cache_corrupt
                 obs_log.event(_log, "app.start", app=name, run_id=run.run_id)
-                record = _run_one_inline(name, options_dict, fail, hang, corrupt)
+                record = _run_one_inline(
+                    name, options_dict, fail, hang, corrupted_for(name)
+                )
                 obs_log.event(
                     _log, "app.finish",
                     level=logging.INFO if record.ok else logging.WARNING,
@@ -486,6 +503,10 @@ def run_corpus(
                 )
                 run.records.append(record)
                 flush([record])
+                # a one-shot process runs with automatic collection off
+                # (repro/__main__.py): free the app's leftovers before the
+                # next one, as a forked worker does between its tasks
+                gc.collect()
         run.elapsed_s = time.perf_counter() - t0
         obs_log.event(_log, "corpus.finish", run_id=run.run_id, **run.summary())
         if ledger is not None:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import gc
 import importlib
 import logging
 import os
@@ -108,7 +109,8 @@ class WorkItem:
     cost: float = 1.0
     inject_fail: bool = False
     inject_hang_s: float = 0.0
-    inject_cache_corrupt: bool = False
+    #: entries the batch truncated, for an app named by --inject-cache-corrupt
+    corrupted_entries: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +224,12 @@ def _worker_loop(conn) -> None:
     """The forked child: recv task → analyze → send result, until told to
     stop. Events stream live through the same (duplex) pipe; every
     exception becomes an error payload — the process only dies on a
-    genuine crash, which the parent sees as EOF."""
+    genuine crash, which the parent sees as EOF.
+
+    Tasks run with automatic garbage collection off, and the child
+    collects once after each result is sent: what it inherited arrived
+    frozen (:meth:`Worker.start`), so that collection walks only what the
+    task left behind, and the next task starts from a clean heap."""
     # imported here, after the fork: a test's patch of _execute_app reaches
     # the child
     from repro.corpus.driver import _error_payload, _execute_app
@@ -230,6 +237,7 @@ def _worker_loop(conn) -> None:
     # a terminal's Ctrl-C reaches the whole process group: the task's fate
     # is the parent's call (a cancel, or the kill when it shuts down)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    gc.disable()
     streamer = _PipeStreamer(conn)
     obs.add_hook(streamer)
     try:
@@ -247,7 +255,7 @@ def _worker_loop(conn) -> None:
                     task["options"],
                     task["inject_fail"],
                     task["inject_hang_s"],
-                    task["inject_cache_corrupt"],
+                    task["corrupted_entries"],
                 )
             except BaseException as exc:  # noqa: BLE001 — isolation boundary
                 payload = _error_payload(exc)
@@ -255,6 +263,7 @@ def _worker_loop(conn) -> None:
                 conn.send(("result", payload))
             except (BrokenPipeError, OSError):
                 break  # parent gone
+            gc.collect()
     finally:
         obs.remove_hook(streamer)
         conn.close()
@@ -301,7 +310,11 @@ class Worker:
         self.cancelled = False
 
     def start(self) -> None:
-        """Fork the child: the one place per-app analysis children fork."""
+        """Fork the child: the one place per-app analysis children fork.
+
+        The parent's heap is frozen across the fork, so the child's
+        collections never walk what it inherited (nor dirty those pages);
+        the parent is unfrozen again right after."""
         preload_for_fork()
         parent_conn, child_conn = self.mp_context.Pipe(duplex=True)
         # NOT daemonic: a daemonic child could not fork the refutation
@@ -310,7 +323,11 @@ class Worker:
         # drops the child reaps it (_release).
         proc = self.mp_context.Process(target=_worker_loop, args=(child_conn,))
         with self.fork_guard() if self.fork_guard else contextlib.nullcontext():
-            proc.start()
+            gc.freeze()
+            try:
+                proc.start()
+            finally:
+                gc.unfreeze()
         child_conn.close()  # the parent's copy: the pipe must EOF when the child dies
         self.proc, self.conn = proc, parent_conn
 
@@ -333,7 +350,7 @@ class Worker:
                     "options": options_dict,
                     "inject_fail": item.inject_fail,
                     "inject_hang_s": item.inject_hang_s,
-                    "inject_cache_corrupt": item.inject_cache_corrupt,
+                    "corrupted_entries": item.corrupted_entries,
                 },
             )
         )

@@ -155,16 +155,17 @@ class AppSynthesizer:
         )
         self.truth = GroundTruth(app=spec.name)
         self._view_id = 1000
-        self._activities: List[_ActivityCtx] = []
 
     # ------------------------------------------------------------------
     def synthesize(self) -> Tuple[Apk, GroundTruth]:
-        for i in range(self.spec.activities):
-            self._activities.append(self._begin_activity(i))
+        # a local list, not an attribute: each context points back at the
+        # synthesizer, and holding them here would make a cycle that keeps
+        # the app's whole program alive until a cyclic collection
+        acts = [self._begin_activity(i) for i in range(self.spec.activities)]
         # navigation graph: a chain from the main activity plus a few random
         # shortcuts — every activity is reachable (launchable) from main,
         # which is what HB rule 2c orders across harnesses
-        names = [ctx.cls.name for ctx in self._activities]
+        names = [ctx.cls.name for ctx in acts]
         for src, dst in zip(names, names[1:]):
             self.apk.manifest.add_launch(src, dst)
         for _ in range(max(1, len(names) // 2)):
@@ -172,8 +173,8 @@ class AppSynthesizer:
             launch_dst = self.rng.choice(names)
             if launch_src != launch_dst:
                 self.apk.manifest.add_launch(launch_src, launch_dst)
-        self._distribute()
-        for ctx in self._activities:
+        self._distribute(acts)
+        for ctx in acts:
             ctx.finish()
         return self.apk, self.truth
 
@@ -194,9 +195,8 @@ class AppSynthesizer:
         ctx.cfg_field = cfg
         return ctx
 
-    def _distribute(self) -> None:
+    def _distribute(self, acts: List["_ActivityCtx"]) -> None:
         spec = self.spec
-        acts = self._activities
 
         def spread(count: int, emit) -> None:
             for j in range(count):

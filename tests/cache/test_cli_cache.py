@@ -2,7 +2,9 @@
 corruption injection."""
 
 import json
+import shutil
 
+from repro.cache import SubstrateStore
 from repro.cli import main
 from repro.corpus.driver import run_corpus
 from repro.core import SierraOptions
@@ -89,6 +91,49 @@ class TestInjectCacheCorrupt:
         warnings = " ".join(record.warnings)
         assert "injected cache corruption" in warnings
         assert "corrupt" in warnings  # the store's own loud fallback
+
+    def test_sharded_corrupt_pass_is_reproducible(self, tmp_path):
+        """The batch truncates the cache once, before any shard starts, so
+        with two shards every app meets its own entries corrupt whatever
+        the timing, and two runs of the same pass agree."""
+        apps = ["quickstart", "newsreader", "dbapp", "opensudoku", "paper:APV"]
+        fill = tmp_path / "fill"
+        run_corpus(apps=apps, options=SierraOptions(cache_dir=str(fill)), shards=2)
+        store = SubstrateStore(str(fill))
+        entries = store.stats()["entries"]
+        store.close()
+        outcomes = []
+        for copy in ("first", "second"):
+            cache = tmp_path / copy
+            shutil.copytree(fill, cache)
+            run = run_corpus(
+                apps=apps,
+                options=SierraOptions(cache_dir=str(cache)),
+                shards=2,
+                inject_cache_corrupt={"newsreader"},
+            )
+            records = {
+                r.app: (r.status, r.warnings, r.counters, r.report)
+                for r in run.records
+            }
+            store = SubstrateStore(str(cache))
+            stats = store.stats()
+            store.close()
+            counts = {k: stats[k] for k in ("hits", "misses", "corrupt", "entries")}
+            outcomes.append((records, counts))
+        assert outcomes[0] == outcomes[1]
+        records, counts = outcomes[0]
+        assert counts["corrupt"] == entries  # each entry read back once, corrupt
+        assert counts["hits"] == 0
+        injected = {
+            app: [w for w in warnings if "injected" in w]
+            for app, (_status, warnings, _counters, _report) in records.items()
+        }
+        assert injected.pop("newsreader") == [
+            f"injected cache corruption for 'newsreader': truncated {entries} "
+            "entries (--inject-cache-corrupt)"
+        ]
+        assert all(found == [] for found in injected.values())  # APP's record only
 
     def test_injection_is_noop_without_cache(self):
         run = run_corpus(

@@ -151,6 +151,9 @@ class TestStatsAndGc:
         import repro.cache.store as store_mod
 
         monkeypatch.setattr(store_mod.time, "time_ns", lambda: 10**18)
+        # each header embeds created_ts: a fixed clock gives the three
+        # entries one size, so "room for two" is exact
+        monkeypatch.setattr(store_mod.time, "time", lambda: 1e9)
         store = SubstrateStore(str(tmp_path / "cache"))
         try:
             for key_char in ("c", "b", "a"):

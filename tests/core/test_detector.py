@@ -1,5 +1,10 @@
 """End-to-end Sierra pipeline behaviour and options."""
 
+import gc
+
+import pytest
+
+from repro.cli import load_app
 from repro.core import Sierra, SierraOptions, analyze_apk
 
 
@@ -54,3 +59,27 @@ class TestOptions:
 
     def test_benign_guard_count(self, opensudoku_result):
         assert opensudoku_result.report.benign_guard_count() >= 1
+
+
+class TestNoCyclicGarbage:
+    """Reference counting alone frees an analyzed app. ``python -m repro``
+    and shard workers analyze with automatic collection off, so a cycle
+    anywhere in an app would hold its whole program until a collection
+    (the synthesizer's activity contexts and the layout registry once
+    did)."""
+
+    @pytest.mark.parametrize(
+        "app", ["quickstart", "paper:K-9 Mail", "family:mesh:1:3"]
+    )
+    def test_a_dropped_result_leaves_nothing_to_collect(self, app):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = Sierra(SierraOptions()).analyze(load_app(app))
+            assert result.report.racy_pairs > 0
+            del result
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -135,6 +135,70 @@ class TestDispatchOrder:
         assert all(r.status == STATUS_OK for r in records)
 
 
+#: objects in the reference cycle each task below leaves behind
+_CYCLE = 5_000
+
+
+def _leave_a_cycle(name, *args):
+    """A stand-in for ``_execute_app``: leaves garbage only a cyclic
+    collection frees, and reports this process's collector state."""
+    import gc
+
+    junk = [[] for _ in range(_CYCLE - 1)]
+    junk.append(junk)
+    return {
+        "status": STATUS_OK,
+        "counters": {
+            "objects": len(gc.get_objects()),
+            "enabled": int(gc.isenabled()),
+            "frozen": gc.get_freeze_count(),
+        },
+    }
+
+
+class TestGarbageCollection:
+    """Both corpus loops run apps with automatic collection off and
+    collect once between them; a shard worker's heap arrives frozen."""
+
+    def test_worker_collects_between_tasks(self, monkeypatch):
+        import gc
+
+        from repro.corpus import driver
+
+        # the forked worker inherits the patch
+        monkeypatch.setattr(driver, "_execute_app", _leave_a_cycle)
+        frozen = gc.get_freeze_count()
+        items = [sched.WorkItem(index=i, name=f"task{i}") for i in range(20)]
+        records = sched.run_sharded(
+            multiprocessing.get_context("fork"), items, {}, shards=1, timeout_s=60.0
+        )
+        counters = [r.counters for r in records]
+        assert all(c["enabled"] == 0 for c in counters)
+        assert all(c["frozen"] > 10_000 for c in counters)  # the parent's heap
+        # uncollected, each task's cycle would still be there in the next
+        objects = [c["objects"] for c in counters]
+        assert max(objects) - min(objects) < _CYCLE, objects
+        assert gc.get_freeze_count() == frozen  # unfrozen after the fork
+
+    def test_inline_batch_collects_between_apps(self, monkeypatch):
+        """``--no-isolation`` under ``python -m repro``: collection is off
+        in the batch's own process."""
+        import gc
+
+        from repro.corpus import driver
+
+        monkeypatch.setattr(driver, "_execute_app", _leave_a_cycle)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run = run_corpus(apps=[f"fdroid:{i}" for i in range(20)], isolate=False)
+        finally:
+            if was_enabled:
+                gc.enable()
+        objects = [r.counters["objects"] for r in run.records]
+        assert max(objects) - min(objects) < _CYCLE, objects
+
+
 class TestDriverIntegration:
     def test_core_budget_lands_in_the_report(self):
         apps = seeded_corpus(count=2, seed=0, max_size=0)

@@ -239,6 +239,16 @@ SRC = os.path.join(
     "src",
 )
 
+
+def _fresh_env():
+    """Environment for a fresh interpreter running this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for var in ("REPRO_HISTORY", "REPRO_CACHE"):
+        env.pop(var, None)
+    return env
+
+
 #: starts a one-worker daemon, waits until an inject_hang job's child is
 #: running, stops the daemon, and reports what stop() left behind
 _STOP_WITH_A_HUNG_JOB = """
@@ -272,15 +282,11 @@ def test_stop_cancels_a_hung_job_and_the_process_exits(tmp_path):
     The job stays running, so the next start requeues it. Runs in a fresh
     interpreter: its exit is part of what is checked."""
     history = str(tmp_path / "runs.sqlite")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    for var in ("REPRO_HISTORY", "REPRO_CACHE"):
-        env.pop(var, None)
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(_STOP_WITH_A_HUNG_JOB), history],
         capture_output=True,
         text=True,
-        env=env,
+        env=_fresh_env(),
         timeout=30,  # far below the job's 120 s deadline
     )
     assert proc.returncode == 0, proc.stderr
@@ -290,6 +296,54 @@ def test_stop_cancels_a_hung_job_and_the_process_exits(tmp_path):
     with JobStore(history) as store:
         assert store.get(out["job_id"]).status == RUNNING
         assert store.recover() == 1
+
+
+#: runs ``python -m repro serve`` through runpy on an ephemeral port,
+#: noting whether automatic collection is on when the daemon starts, then
+#: interrupts the serve loop as Ctrl-C would
+_SERVE_GC_STATE = """
+import gc, json, runpy, sys, types
+import repro.cli as cli
+from repro.serve import ServeDaemon
+
+seen = {}
+real_start = ServeDaemon.start
+
+def start(self):
+    seen["enabled"] = gc.isenabled()
+    real_start(self)
+
+def sleep(_seconds):
+    raise KeyboardInterrupt
+
+ServeDaemon.start = start
+cli.time = types.SimpleNamespace(sleep=sleep)
+sys.argv = ["repro", "serve", "--history", sys.argv[1], "--port", "0",
+            "--workers", "1"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    seen["code"] = exc.code
+print(json.dumps(seen))
+"""
+
+
+def test_serve_command_runs_its_daemon_with_collection_on(tmp_path):
+    """``python -m repro`` turns automatic collection off for one-shot
+    commands; the long-lived daemon turns it back on."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_SERVE_GC_STATE),
+         str(tmp_path / "runs.sqlite")],
+        capture_output=True,
+        text=True,
+        env=_fresh_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "enabled": True,
+        "code": 0,
+    }
 
 
 def test_jobs_fork_with_daemon_sqlite_quiesced(tmp_path, monkeypatch):

@@ -1,4 +1,12 @@
-"""CLI: app resolution, command output, option plumbing."""
+"""CLI: app resolution, command output, option plumbing, and the
+``python -m repro`` entry point."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -107,11 +115,6 @@ class TestBrokenPipe:
     pytest's capture in-process."""
 
     def test_exit_code_and_silent_teardown(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-        import textwrap
-
         from repro.cli import SIGPIPE_EXIT
 
         result_file = tmp_path / "rc"
@@ -177,11 +180,114 @@ class TestMalformedHistory:
 
 class TestJsonOutput:
     def test_json_roundtrip(self, capsys):
-        import json
-
         assert main(["analyze", "opensudoku", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["app"] == "opensudoku-timer"
         assert data["races_after_refutation"] == len(data["reports"])
         assert all("field" in r and "rank" in r for r in data["reports"])
         assert data["timings_seconds"]["total"] >= 0
+
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+
+def _fresh_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for var in ("REPRO_HISTORY", "REPRO_CACHE"):
+        env.pop(var, None)
+    return env
+
+
+#: runs ``python -m repro <argv[1:]>`` through runpy, counting every
+#: garbage collection from just before the entry point runs
+_COUNT_COLLECTIONS = """
+import gc, io, json, runpy, sys
+from contextlib import redirect_stdout
+
+gc.collect()  # start the allocation count from zero
+collections = []
+gc.callbacks.append(
+    lambda phase, info: phase == "stop" and collections.append(info["generation"])
+)
+sys.argv = ["repro", *sys.argv[1:]]
+with redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("repro", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({
+    "code": code,
+    "collections": collections,
+    "enabled": gc.isenabled(),
+    "frozen": gc.get_freeze_count(),
+}))
+"""
+
+
+class TestEntryPoint:
+    """``python -m repro`` in a fresh interpreter: the process users and
+    perfbench start, with the garbage-collection policy of
+    ``repro/__main__.py``."""
+
+    @pytest.mark.parametrize("app", ["quickstart", "opensudoku", "paper:APV"])
+    def test_fresh_process_matches_in_process_main(self, app, tmp_path, capsys):
+        from repro.obs import validate_trace_file
+        from repro.obs.history import KIND_ANALYZE, RunLedger
+
+        trace, history = tmp_path / "trace.json", tmp_path / "runs.sqlite"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", app, "--json",
+             "--trace", str(trace), "--history", str(history)],
+            capture_output=True, text=True, env=_fresh_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert main(["analyze", app, "--json"]) == 0
+        fresh = json.loads(proc.stdout)
+        in_process = json.loads(capsys.readouterr().out)
+        fresh.pop("timings_seconds")
+        in_process.pop("timings_seconds")
+        assert fresh == in_process
+        # written before exit, with nothing left to a finalizer
+        assert validate_trace_file(str(trace)) == []
+        with RunLedger(str(history)) as ledger:
+            (run,) = ledger.runs()
+            assert run["kind"] == KIND_ANALYZE
+            (row,) = ledger.app_runs(run["run_id"]).values()
+            assert row["status"] == "ok"
+            assert len(ledger.races(run["run_id"])) == len(fresh["reports"])
+
+    def test_one_shot_process_never_collects(self):
+        """Collection is off before the engine is imported, and the heap
+        is frozen when ``main()`` returns, so the collection at exit skips
+        it too."""
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(_COUNT_COLLECTIONS),
+             "analyze", "quickstart", "--json"],
+            capture_output=True, text=True, env=_fresh_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["code"] == 0
+        assert out["collections"] == []
+        assert out["enabled"] is False
+        assert out["frozen"] > 10_000  # the engine's modules, at least
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_in_process_main_keeps_the_callers_gc_state(self, enabled, capsys):
+        """The policy lives in ``repro/__main__.py``, not in ``main()``: a
+        caller's collection setting and freeze count survive an analysis
+        and a batch that forks a shard worker."""
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert main(["analyze", "quickstart", "--json"]) == 0
+            assert main(["corpus-analyze", "--apps", "quickstart", "--out", ""]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
