@@ -193,8 +193,9 @@ class ContextSelector:
 
 
 def _truncate(elements: Tuple[ContextElement, ...], k: int) -> Tuple[ContextElement, ...]:
-    """Keep the most recent k elements (the classical merging step)."""
-    return elements[-k:] if k >= 0 else elements
+    """Keep the most recent k elements (the classical merging step); k = 0
+    keeps none, which is context-insensitive."""
+    return elements[-k:] if k > 0 else ()
 
 
 class InsensitiveSelector(ContextSelector):

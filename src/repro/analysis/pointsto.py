@@ -4,9 +4,9 @@ call-graph construction.
 This is the WALA stand-in. The analysis starts from a set of entry
 method-contexts (harness mains and action entries), interprets each reachable
 method's instructions as subset constraints, discovers call edges through
-receiver points-to sets, and iterates whole-program passes to a fixpoint.
-Termination follows from finite contexts (bounded k, finitely many allocation
-sites / actions) and monotone set growth.
+receiver points-to sets, and propagates set growth through a delta worklist
+to a fixpoint. Termination follows from finite contexts (bounded k, finitely
+many allocation sites / actions) and monotone set growth.
 
 Framework APIs with semantics the IR cannot express are intercepted by
 signature:
@@ -199,22 +199,12 @@ _EMPTY: FrozenSet[PointsToObject] = frozenset()
 class PointerAnalysis:
     """Run with :meth:`solve`; inspect through :class:`PointsToResult`.
 
-    Two fixpoint drivers share all transfer functions:
-
-    * ``solver="worklist"`` (default) — delta-worklist propagation. While a
-      method-context is interpreted, every points-to key it reads is
-      registered in an inverted dependency index (key → dependent
-      method-contexts). When a key's set grows, exactly the registered
-      dependents are re-queued; nothing else is ever re-interpreted.
-    * ``solver="passes"`` — the original whole-program iteration
-      (re-interpret every reachable method until no pass changes anything),
-      kept as the reference the worklist driver is tested against
-      (``tests/analysis/test_pointsto.py``). Both drivers reach the same
-      (unique) least fixpoint.
+    The fixpoint driver is delta-worklist propagation. While a
+    method-context is interpreted, every points-to key it reads is
+    registered in an inverted dependency index (key → dependent
+    method-contexts). When a key's set grows, exactly the registered
+    dependents are re-queued; nothing else is ever re-interpreted.
     """
-
-    #: hard cap on fixpoint passes — a safety net, never hit in practice
-    MAX_PASSES = 200
 
     def __init__(
         self,
@@ -225,23 +215,18 @@ class PointerAnalysis:
         dispatch_table: Optional[Dict[str, EventDispatch]] = None,
         action_resolver=None,
         index_sensitive_arrays: bool = False,
-        solver: str = "worklist",
     ) -> None:
-        if solver not in ("worklist", "passes"):
-            raise ValueError(f"unknown solver {solver!r}")
         self.program = program
         self.selector = selector if selector is not None else InsensitiveSelector()
         self.layouts = layouts if layouts is not None else LayoutRegistry()
         self.dispatch_table = dispatch_table or {}
         self.action_resolver = action_resolver
         self.index_sensitive_arrays = index_sensitive_arrays
-        self.solver = solver
         self.call_graph = CallGraph()
         self._var_pts: Dict[VarKey, Set[PointsToObject]] = {}
         self._field_pts: Dict[FieldKey, Set[PointsToObject]] = {}
         self._static_pts: Dict[StaticKey, Set[PointsToObject]] = {}
         self._reachable: Dict[MethodContext, None] = {}
-        self.passes_run = 0
         self.worklist_iterations = 0
         # inverted constraint index: points-to key -> work units whose
         # interpretation read it (insertion-ordered for determinism). A work
@@ -249,7 +234,6 @@ class PointerAnalysis:
         # whole body (the first visit of a newly reachable context).
         self._deps: Dict[tuple, Dict[tuple, None]] = {}
         self._current: Optional[tuple] = None
-        self._track_deps = solver == "worklist"
         self._queue: deque = deque()
         self._queued: Set[tuple] = set()
         for entry in entries:
@@ -262,12 +246,10 @@ class PointerAnalysis:
     # set plumbing: reads register dependencies, writes wake dependents
     # ------------------------------------------------------------------
     def _note(self, key: tuple) -> None:
-        if self._track_deps and self._current is not None:
+        if self._current is not None:
             self._deps.setdefault(key, {})[self._current] = None
 
     def _touch(self, key: tuple) -> None:
-        if not self._track_deps:
-            return
         deps = self._deps.get(key)
         if deps:
             for unit in deps:
@@ -323,36 +305,9 @@ class PointerAnalysis:
         return _EMPTY  # constants (incl. null) carry no objects
 
     # ------------------------------------------------------------------
-    # fixpoint drivers
+    # fixpoint driver
     # ------------------------------------------------------------------
     def solve(self) -> PointsToResult:
-        if self.solver == "passes":
-            return self._solve_passes()
-        return self._solve_worklist()
-
-    def _solve_passes(self) -> PointsToResult:
-        changed = True
-        prof = obs.profile.active()
-        perf = time.perf_counter
-        while changed and self.passes_run < self.MAX_PASSES:
-            changed = False
-            self.passes_run += 1
-            with obs.span("pointsto.pass", n=self.passes_run) as sp:
-                for mc in list(self._reachable):
-                    t0 = perf() if prof is not None else 0.0
-                    if self._process_method(mc):
-                        changed = True
-                    if prof is not None:
-                        prof.charge_pointsto(
-                            mc.method.signature, mc.context, perf() - t0
-                        )
-                sp.set(reachable=len(self._reachable))
-        obs.metrics.counter(
-            "pointsto.passes", "whole-program passes to the points-to fixpoint"
-        ).inc(self.passes_run)
-        return PointsToResult(self)
-
-    def _solve_worklist(self) -> PointsToResult:
         for mc in self._reachable:
             self._enqueue((mc, None))
         return self._drain()
@@ -412,8 +367,6 @@ class PointerAnalysis:
         everything they newly touch propagates through the pickled
         dependency index exactly as a cold delta-worklist run would.
         """
-        if self.solver != "worklist":
-            raise ValueError("resume() requires the worklist solver")
         inval = {id(m) for m in invalidated}
         for mc in self._reachable:
             if id(mc.method) in inval:
@@ -422,10 +375,8 @@ class PointerAnalysis:
 
     def _process_method(self, mc: MethodContext) -> bool:
         changed = False
-        track = self._track_deps
         for index, instr in enumerate(mc.method.body):
-            if track:
-                self._current = (mc, index)
+            self._current = (mc, index)
             if self._process_instruction(mc, index, instr):
                 changed = True
         return changed
@@ -578,13 +529,12 @@ class PointerAnalysis:
         if callee_mc not in self._reachable:
             self._reachable[callee_mc] = None
             changed = True
-            if self._track_deps:
-                self._enqueue((callee_mc, None))
-                # wake event-marker sites waiting on contexts of this method
-                # (keyed by signature, not id(): the dependency index is
-                # pickled into the substrate cache and replayed in another
-                # process, where this run's object ids are meaningless)
-                self._touch(("reach", callee_mc.method.signature))
+            self._enqueue((callee_mc, None))
+            # wake event-marker sites waiting on contexts of this method
+            # (keyed by signature, not id(): the dependency index is
+            # pickled into the substrate cache and replayed in another
+            # process, where this run's object ids are meaningless)
+            self._touch(("reach", callee_mc.method.signature))
         if receiver_obj is not None and not callee_mc.method.is_static:
             changed |= self._add_var((callee_mc, "this"), {receiver_obj})
         bind_args = instr.args if args is None else args

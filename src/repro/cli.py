@@ -763,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def count(text: str) -> int:
-        """A row count: a negative one would slice rows off the end, so
-        argparse refuses it (exit 2)."""
+        """A row count or context depth: a negative one would slice from
+        the end, so argparse refuses it (exit 2)."""
         value = int(text)
         if value < 0:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -773,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_analysis_flags(p):
         p.add_argument("--selector", default="action",
                        choices=("insensitive", "kcfa", "kobj", "hybrid", "action"))
-        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--k", type=count, default=2)
         p.add_argument("--no-refute", action="store_true")
         p.add_argument("--path-budget", type=int, default=5000)
         p.add_argument("--compare-no-as", action="store_true",

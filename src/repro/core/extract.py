@@ -83,14 +83,12 @@ class ActionExtractor:
         harness: HarnessModel,
         selector: Optional[ContextSelector] = None,
         index_sensitive_arrays: bool = False,
-        solver: str = "worklist",
         phase_a_seed=None,
     ):
         self.apk = apk
         self.harness = harness
         self.selector = selector if selector is not None else ActionSensitiveSelector()
         self.index_sensitive_arrays = index_sensitive_arrays
-        self.solver = solver
         # (PointerAnalysis, invalidated methods) from the substrate cache:
         # resume the old phase-A fixpoint instead of solving from cold
         self.phase_a_seed = phase_a_seed
@@ -113,11 +111,10 @@ class ActionExtractor:
                     layouts=self.apk.layouts,
                     dispatch_table=self.harness.dispatch_table,
                     index_sensitive_arrays=self.index_sensitive_arrays,
-                    solver=self.solver,
                 )
                 phase_a = analysis.solve()
         ext.phase_a = phase_a
-        ext.phase_a_analysis = analysis if self.solver == "worklist" else None
+        ext.phase_a_analysis = analysis
 
         with obs.span("extract.actions"):
             self._collect_event_actions(ext, phase_a)
@@ -133,7 +130,6 @@ class ActionExtractor:
                 dispatch_table=self.harness.dispatch_table,
                 action_resolver=ext.resolver,
                 index_sensitive_arrays=self.index_sensitive_arrays,
-                solver=self.solver,
             ).solve()
         ext.result = result
 
@@ -146,11 +142,10 @@ class ActionExtractor:
     def _reuses_harness_solve(self) -> bool:
         """Is the harness's final solve this extraction's phase A? Only
         for the apk it was solved on and the configuration the harness
-        solves with: the worklist solver without index-sensitive arrays."""
+        solves with: without index-sensitive arrays."""
         return (
             self.harness.final_solve is not None
             and self.harness.apk is self.apk
-            and self.solver == "worklist"
             and not self.index_sensitive_arrays
         )
 
@@ -362,7 +357,6 @@ def extract_actions(
     harness: HarnessModel,
     selector: Optional[ContextSelector] = None,
     index_sensitive_arrays: bool = False,
-    solver: str = "worklist",
     phase_a_seed=None,
 ) -> Extraction:
     """Convenience wrapper running the full extraction."""
@@ -371,6 +365,5 @@ def extract_actions(
         harness,
         selector=selector,
         index_sensitive_arrays=index_sensitive_arrays,
-        solver=solver,
         phase_a_seed=phase_a_seed,
     ).extract()

@@ -119,8 +119,6 @@ class SHBG:
         return counts
 
     # -- provenance queries (repro explain / report provenance blocks) --
-    # They read the closure's bit-rows (row_before/row_after/members), so
-    # they need the default bitset TransitiveClosure.
     def _successors(self) -> Dict[int, List[HBEdge]]:
         """Direct edges by source, in derivation order. Built on first use
         and shared by every later query (rebuilt only if edges were added
@@ -201,15 +199,9 @@ class SHBG:
 class HBBuilder:
     """Builds the SHBG for one extraction."""
 
-    def __init__(self, extraction: Extraction, closure=None):
+    def __init__(self, extraction: Extraction):
         self.ext = extraction
-        if closure is not None:
-            # dependency injection for differential testing / benchmarking:
-            # any object with the TransitiveClosure query interface works;
-            # bit-row fast paths engage only when it provides row_after()
-            self.shbg = SHBG(extraction.actions, closure=closure)
-        else:
-            self.shbg = SHBG(extraction.actions)
+        self.shbg = SHBG(extraction.actions)
         self._site_actions: Dict[int, List[Action]] = {}
         for action in extraction.actions:
             if action.creation_site is not None:
@@ -241,7 +233,7 @@ class HBBuilder:
                 sp.set(edges_added=len(self.shbg.direct_edges) - before)
         obs.metrics.counter(
             "hb.closure_ops", "transitive-closure row merges during SHBG builds"
-        ).inc(getattr(self.shbg.closure, "ops", 0))
+        ).inc(self.shbg.closure.ops)
         return self.shbg
 
     # ------------------------------------------------------------------
@@ -387,41 +379,24 @@ class HBBuilder:
                         self.shbg.add(p1.id, p2.id, "R5-defacto-dom")
 
     def _rule6_fixpoint(self) -> None:
-        """Iterate rule 6 with the (incremental) transitive closure."""
+        """Rule 6 iterated with the (incremental) transitive closure: post
+        p3 ≺ p4 when both are FIFO posts to the same looper and every
+        poster of p3 precedes every poster of p4 (A1 ≺ A2 in the paper;
+        requiring every poster pair keeps it sound when an action has
+        several posters, and an A1 = A2 pair is never ordered). Sweeps
+        (p3, p4) in post order until a sweep adds nothing.
+
+        The every-poster-pair test is one subset probe on bit-rows:
+        parents(p4) must all sit inside the intersection of the after-rows
+        of parents(p3), with disjoint poster sets."""
         posts = self._fifo_posts()
-        if hasattr(self.shbg.closure, "row_after"):
-            self._rule6_fixpoint_bitset(posts)
-        else:
-            self._rule6_fixpoint_generic(posts)
-
-    def _rule6_fixpoint_generic(self, posts: List[Action]) -> None:
-        """Reference pairwise iteration (works with any closure)."""
-        changed = True
-        while changed:
-            changed = False
-            for p3 in posts:
-                for p4 in posts:
-                    if p3 is p4 or not p3.affinity.same_looper(p4.affinity):
-                        continue
-                    if self.shbg.ordered(p3.id, p4.id):
-                        continue
-                    if self._posters_ordered(p3, p4):
-                        if self.shbg.add(p3.id, p4.id, "R6-transitivity"):
-                            changed = True
-
-    def _rule6_fixpoint_bitset(self, posts: List[Action]) -> None:
-        """Bit-row fast path, same sweep order as the generic version (so
-        edge attribution is identical): the every-poster-pair-ordered test
-        collapses to one subset probe — parents(p4) must all sit inside the
-        intersection of the after-rows of parents(p3), with disjoint poster
-        sets (an A1 = A2 pair is never ordered)."""
         closure = self.shbg.closure
         index_of = closure.index_of
         row_after = closure.row_after
         # same_looper is an equivalence on non-background affinities, so
         # grouping once replaces posts² same_looper() probes; iterating a
-        # post's own group in posts order visits exactly the pairs the
-        # generic sweep would, in the same order
+        # post's own group in posts order visits the same-looper pairs in
+        # sweep order
         groups: Dict[Tuple[str, object], List[Tuple[int, Action, int, int]]] = {}
         group_of: List[List[Tuple[int, Action, int, int]]] = []
         parent_mask: List[int] = []
@@ -448,9 +423,8 @@ class HBBuilder:
                     continue
                 # after3 / not_common are bit-rows over the closure's dense
                 # indices; the sweep itself is the only writer while rule 6
-                # runs, so they stay valid until one of our own adds lands —
-                # growth is then observed exactly as the generic per-pair
-                # probes would observe it
+                # runs, so they stay valid until one of our own adds lands,
+                # and are recomputed before the next probe after one does
                 stale = True
                 after3 = not_common = 0
                 for i4, p4, pm4, idx4 in members:
@@ -471,20 +445,7 @@ class HBBuilder:
                         changed = True
                         stale = True
 
-    def _posters_ordered(self, p3: Action, p4: Action) -> bool:
-        """Does some A1 ∈ parents(p3) strictly precede every... — per the
-        paper, it suffices that A1 ≺ A2 for posters A1 of p3 and A2 of p4;
-        to stay sound when an action has several posters, require every
-        poster pair to be ordered the same way."""
-        if not p3.parents or not p4.parents:
-            return False
-        for a1 in p3.parents:
-            for a2 in p4.parents:
-                if a1 == a2 or not self.shbg.ordered(a1, a2):
-                    return False
-        return True
 
-
-def build_shbg(extraction: Extraction, closure=None) -> SHBG:
+def build_shbg(extraction: Extraction) -> SHBG:
     """Build the Static Happens-Before Graph for an extraction."""
-    return HBBuilder(extraction, closure=closure).build()
+    return HBBuilder(extraction).build()

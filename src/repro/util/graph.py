@@ -253,12 +253,8 @@ class TransitiveClosure(Generic[N]):
         self._node_list: List[N] = []
         self._after: List[int] = []
         self._before: List[int] = []
-        self._direct: Dict[Tuple[N, N], None] = {}
         #: row-merge operations performed by add_edge (perf counter)
         self.ops = 0
-        #: bumped whenever the closure grows — lets clients revalidate
-        #: cached row combinations (e.g. the SHBG rule-6 poster masks)
-        self.version = 0
 
     def add_node(self, node: N) -> int:
         idx = self._index.get(node)
@@ -274,7 +270,6 @@ class TransitiveClosure(Generic[N]):
         """Record ``src < dst``; returns True if the closure grew."""
         s = self.add_node(src)
         d = self.add_node(dst)
-        self._direct.setdefault((src, dst), None)
         after = self._after
         before = self._before
         if (after[s] >> d) & 1:
@@ -299,7 +294,6 @@ class TransitiveClosure(Generic[N]):
             low = b_mask & -b_mask
             b_mask ^= low
             before[low.bit_length() - 1] |= sources
-        self.version += 1
         return True
 
     def ordered(self, a: N, b: N) -> bool:
@@ -346,16 +340,6 @@ class TransitiveClosure(Generic[N]):
             out.append(nodes[low.bit_length() - 1])
         return out
 
-    def successors(self, node: N) -> Set[N]:
-        return set(self.members(self.row_after(node)))
-
-    def predecessors(self, node: N) -> Set[N]:
-        return set(self.members(self.row_before(node)))
-
-    def direct_edges(self) -> Set[Tuple[N, N]]:
-        """Edges inserted explicitly (not derived by transitivity)."""
-        return set(self._direct)
-
     def edge_count(self) -> int:
         """Ordered pairs in the closure, by popcount (no materialization)."""
         return sum(row.bit_count() for row in self._after)
@@ -376,71 +360,6 @@ class TransitiveClosure(Generic[N]):
 
     def has_cycle(self) -> bool:
         return any((row >> i) & 1 for i, row in enumerate(self._after))
-
-
-class NaiveTransitiveClosure(Generic[N]):
-    """The original per-node Python-``set`` closure.
-
-    Kept as the reference implementation: the property tests and the SHBG
-    rule-pipeline equivalence tests (``tests/core/test_hb.py``) check the
-    bitset closure against it. Semantically identical to
-    :class:`TransitiveClosure`.
-    """
-
-    def __init__(self) -> None:
-        self._after: Dict[N, Set[N]] = {}
-        self._before: Dict[N, Set[N]] = {}
-        self._direct: Set[Tuple[N, N]] = set()
-
-    def add_node(self, node: N) -> None:
-        self._after.setdefault(node, set())
-        self._before.setdefault(node, set())
-
-    def add_edge(self, src: N, dst: N) -> bool:
-        """Record ``src < dst``; returns True if the closure grew."""
-        self.add_node(src)
-        self.add_node(dst)
-        self._direct.add((src, dst))
-        if dst in self._after[src]:
-            return False
-        sources = self._before[src] | {src}
-        targets = self._after[dst] | {dst}
-        grew = False
-        for a in sources:
-            new = targets - self._after[a]
-            if new:
-                grew = True
-                self._after[a] |= new
-                for b in new:
-                    self._before[b].add(a)
-        return grew
-
-    def ordered(self, a: N, b: N) -> bool:
-        return b in self._after.get(a, ())
-
-    def comparable(self, a: N, b: N) -> bool:
-        return self.ordered(a, b) or self.ordered(b, a)
-
-    def successors(self, node: N) -> Set[N]:
-        return set(self._after.get(node, ()))
-
-    def predecessors(self, node: N) -> Set[N]:
-        return set(self._before.get(node, ()))
-
-    def direct_edges(self) -> Set[Tuple[N, N]]:
-        return set(self._direct)
-
-    def edge_count(self) -> int:
-        return sum(len(afters) for afters in self._after.values())
-
-    def closure_edges(self) -> Set[Tuple[N, N]]:
-        return {(a, b) for a, afters in self._after.items() for b in afters}
-
-    def nodes(self) -> List[N]:
-        return list(self._after)
-
-    def has_cycle(self) -> bool:
-        return any(node in self._after[node] for node in self._after)
 
 
 def topological_order(graph: Digraph[N]) -> List[N]:

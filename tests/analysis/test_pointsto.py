@@ -16,6 +16,7 @@ from repro.android.framework import install_framework
 from repro.android.layout import LayoutRegistry
 from repro.ir.builder import ProgramBuilder
 from repro.ir.types import OBJECT
+from tests.reference import PassesAnalysis
 
 
 def fresh():
@@ -368,17 +369,16 @@ class TestSolverEquivalence:
         apk = load_app("paper:K-9 Mail")
         harness = generate_harnesses(apk)
 
-        def solve(solver):
-            return PointerAnalysis(
+        def solve(driver):
+            return driver(
                 apk.program,
                 harness.entries,
                 selector=InsensitiveSelector(),
                 layouts=apk.layouts,
                 dispatch_table=harness.dispatch_table,
-                solver=solver,
             ).solve()
 
-        _assert_same_fixpoint(solve("worklist"), solve("passes"))
+        _assert_same_fixpoint(solve(PointerAnalysis), solve(PassesAnalysis))
 
     def test_worklist_equals_passes_on_action_sensitive_phase_c(self):
         """Phase C, the action-sensitive re-solve that routes every action
@@ -391,13 +391,12 @@ class TestSolverEquivalence:
         apk = load_app("paper:OpenSudoku")
         harness = generate_harnesses(apk)
         ext = extract_actions(apk, harness)
-        passes = PointerAnalysis(
+        passes = PassesAnalysis(
             apk.program,
             harness.entries,
             selector=ext.selector,
             layouts=apk.layouts,
             dispatch_table=harness.dispatch_table,
             action_resolver=ext.resolver,
-            solver="passes",
         ).solve()
         _assert_same_fixpoint(ext.result, passes)

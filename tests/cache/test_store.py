@@ -167,9 +167,14 @@ class TestStatsAndGc:
         finally:
             store.close()
 
-    def test_gc_order_survives_reopen(self, tmp_path):
+    def test_gc_order_survives_reopen(self, tmp_path, monkeypatch):
         """Recency lives on the entry files: entries from a previous
         process order before a reopened store's new ones."""
+        import repro.cache.store as store_mod
+
+        # a fixed created_ts gives the three entries one size, so "room
+        # for two" is exact; last-use stamps still come from time_ns
+        monkeypatch.setattr(store_mod.time, "time", lambda: 1e9)
         root = str(tmp_path / "cache")
         store = SubstrateStore(root)
         store.put("verdict", "a" * 48, "a")

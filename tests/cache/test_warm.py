@@ -1,8 +1,8 @@
-"""Warm re-analysis: cached runs must be byte-identical to cold ones.
+"""Warm re-analysis: a full hit does (near-)zero substrate work.
 
-The cache is machine-checked equivalence, not best-effort: a warm run must
-report the same fingerprints and refutation verdicts as the cold run that
-populated the cache, while doing (near-)zero substrate work.
+That a warm run reports the same fingerprints and refutation verdicts as
+the cold run that populated the cache is machine-checked by the
+differential matrix in ``tests/test_modes.py``.
 """
 
 import pytest
@@ -18,30 +18,14 @@ def run(app: str, **opts):
     return result, scrape
 
 
-def fingerprints(result):
-    return sorted(r.fingerprint for r in result.report.reports)
-
-
-def verdicts(result):
-    return {
-        r.fingerprint: (r.pair.field_name, r.tier, r.priority)
-        for r in result.report.reports
-    }
-
-
 class TestWarmEqualsCold:
     @pytest.mark.parametrize("app", ["quickstart", "paper:APV"])
     def test_full_hit_replays_identically(self, app, tmp_path):
+        # that the warm run's races equal the cold run's is checked by
+        # tests/test_modes.py::test_warm_cache_matches_serial
         cache = str(tmp_path / "cache")
-        cold, cold_scrape = run(app, cache_dir=cache)
+        _, cold_scrape = run(app, cache_dir=cache)
         warm, warm_scrape = run(app, cache_dir=cache)
-
-        assert fingerprints(warm) == fingerprints(cold)
-        assert verdicts(warm) == verdicts(cold)
-        assert warm.report.racy_pairs == cold.report.racy_pairs
-        assert (
-            warm.report.races_after_refutation == cold.report.races_after_refutation
-        )
 
         assert cold_scrape["cache.substrate_misses"] == 1
         assert warm_scrape["cache.substrate_hits"] == 1

@@ -140,3 +140,25 @@ class TestOptionEdges:
 
         result = Sierra(SierraOptions(k=0)).analyze(build_quickstart_app())
         assert result.report.races_after_refutation >= 1
+
+    def test_k_zero_is_context_insensitive(self):
+        """k bounds the call and allocation strings a context keeps; at
+        k = 0 they keep none, so every k-selector is the insensitive one."""
+        from repro.cli import load_app
+
+        def outcome(selector):
+            result = Sierra(SierraOptions(selector=selector, k=0)).analyze(
+                load_app("paper:APV")
+            )
+            report = result.report
+            return (
+                result.extraction.result.variable_count(),
+                report.racy_pairs,
+                report.races_after_refutation,
+            )
+
+        insensitive = outcome("insensitive")
+        selectors = ("kcfa", "kobj", "hybrid")
+        assert {s: outcome(s) for s in selectors} == dict.fromkeys(
+            selectors, insensitive
+        )

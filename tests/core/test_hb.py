@@ -9,6 +9,7 @@ from repro.core import Sierra, SierraOptions, build_shbg, extract_actions, gener
 from repro.core.actions import ActionKind
 from repro.ir.builder import ProgramBuilder
 from repro.ir.types import INT
+from tests.reference import reference_shbg
 
 
 def full_lifecycle_apk():
@@ -278,9 +279,9 @@ class TestAddDedupe:
 
 
 class TestClosureImplementationEquivalence:
-    """build_shbg with the naive set closure and the bitset closure must
-    produce identical graphs — rule 6 takes a different code path per
-    closure, so this locks the fast path to the reference sweep."""
+    """build_shbg must produce the graph of the reference builder
+    (naive set closure, pairwise rule-6 sweep): this locks the bit-row
+    fast path to the reference sweep."""
 
     @pytest.mark.parametrize(
         "builder",
@@ -290,13 +291,11 @@ class TestClosureImplementationEquivalence:
         ],
     )
     def test_generic_vs_bitset_rule_pipeline(self, builder):
-        from repro.util.graph import NaiveTransitiveClosure
-
         apk = builder()
         harness = generate_harnesses(apk)
         ext = extract_actions(apk, harness)
         fast = build_shbg(ext)
-        slow = build_shbg(ext, closure=NaiveTransitiveClosure())
+        slow = reference_shbg(ext)
         assert fast.edges_by_rule() == slow.edges_by_rule()
         assert fast.hb_edge_count() == len(slow.closure.closure_edges())
         for a in ext.actions:
@@ -304,12 +303,10 @@ class TestClosureImplementationEquivalence:
                 assert fast.ordered(a.id, b.id) == slow.ordered(a.id, b.id)
 
     def test_generic_vs_bitset_on_synthetic_app(self, small_synth):
-        from repro.util.graph import NaiveTransitiveClosure
-
         apk, _truth = small_synth
         harness = generate_harnesses(apk)
         ext = extract_actions(apk, harness)
         fast = build_shbg(ext)
-        slow = build_shbg(ext, closure=NaiveTransitiveClosure())
+        slow = reference_shbg(ext)
         assert fast.edges_by_rule() == slow.edges_by_rule()
         assert fast.closure.closure_edges() == slow.closure.closure_edges()

@@ -213,28 +213,18 @@ class TestDriverIntegration:
         assert all(r.status == STATUS_OK for r in run.records)
 
 
-def _result_key(run):
-    return {
-        r.app: (
-            r.status,
-            frozenset((row["fingerprint"], row["verdict"]) for row in r.races),
-        )
-        for r in run.records
-    }
-
-
 @pytest.mark.corpus_smoke
 class TestShardedEquivalence:
     def test_family_mix_sharded_equals_serial_with_full_recall(self):
         """The CI smoke: a seeded 24-app family mix through the sharded
-        scheduler must match the serial run fingerprint-for-fingerprint
-        and keep recall 1.0 on every injected race."""
+        scheduler keeps recall 1.0 on every injected race. That sharded
+        rows equal the serial run's is checked by
+        tests/test_modes.py::test_sharded_batch_matches_serial."""
         apps = seeded_corpus(count=24, seed=9, max_size=1)
-        serial = run_corpus(apps=apps, timeout_s=120.0)
         sharded = run_corpus(apps=apps, shards=3, timeout_s=120.0)
-        assert _result_key(sharded) == _result_key(serial)
         assert [r.app for r in sharded.records] == apps
-        assert sharded.shards == 3 and serial.shards == 1
+        assert [r.status for r in sharded.records] == [STATUS_OK] * len(apps)
+        assert sharded.shards == 3
         scores = [
             score_detection(
                 family_ground_truth(r.app), [row["field"] for row in r.races]

@@ -7,7 +7,6 @@ their own ledger files.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +17,6 @@ import threading
 import pytest
 
 from repro.core import SierraOptions
-from repro.obs.history import KIND_ANALYZE, RunLedger
 from repro.serve import (
     DONE,
     FAILED,
@@ -180,31 +178,6 @@ def test_second_submission_warm_starts(client):
 
     assert worklist(first) > 0  # the cold run actually solved points-to
     assert worklist(second) == 0  # the warm run replayed the cached substrate
-
-
-# ----------------------------------------------------------------------
-# serve ≡ CLI: the same app one-shot and via the daemon diffs clean
-# ----------------------------------------------------------------------
-@pytest.mark.serve_smoke
-def test_serve_results_equal_cli_oneshot(daemon, client, quickstart_apk):
-    from repro.core import Sierra
-    from repro.obs.diffing import diff_runs
-
-    options = dataclasses.asdict(
-        SierraOptions(cache_dir=daemon.pool.options.cache_dir)
-    )
-    result = Sierra(daemon.pool.options).analyze(quickstart_apk)
-    with RunLedger(daemon.history) as ledger:
-        oneshot = ledger.begin_run(
-            KIND_ANALYZE, options, meta={"app": "quickstart"}
-        )
-        ledger.record_analysis(oneshot, "quickstart", result, elapsed_s=0.1)
-    final = client.wait(str(client.submit("quickstart")["job_id"]), timeout_s=120)
-
-    diff = client.diff(oneshot, str(final["run_id"]))
-    assert diff["new_races"] == []
-    assert diff["fixed_races"] == []
-    assert diff["verdict_flips"] == []
 
 
 def test_daemon_recovers_orphaned_jobs(tmp_path):

@@ -72,6 +72,12 @@ class TestAnalyzeCommand:
         assert exit_info.value.code == 2
         assert "argument --top: must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_negative_k_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "quickstart", "--k", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --k: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_ground_truth_scoring(self, capsys):
         assert main(["analyze", "paper:VuDroid", "--ground-truth"]) == 0
         out = capsys.readouterr().out
