@@ -6,7 +6,7 @@ and on-demand constant propagation.
 """
 
 from repro.analysis.callgraph import CallEdge, CallGraph, MethodContext
-from repro.analysis.constprop import constant_message_fields, constant_registers
+from repro.analysis.constprop import constant_message_fields
 from repro.analysis.context import (
     AbstractObject,
     ActionElement,
@@ -65,6 +65,5 @@ __all__ = [
     "ViewObject",
     "analyze",
     "constant_message_fields",
-    "constant_registers",
     "make_selector",
 ]

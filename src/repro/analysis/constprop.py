@@ -103,24 +103,3 @@ class _NotConst:
 
 
 _NOT_CONST = _NotConst()
-
-
-def constant_registers(method: Method) -> Dict[str, ConstValue]:
-    """Registers assigned exactly one constant and nothing else — used by
-    guard reasoning in the symbolic executor."""
-    writes: Dict[str, Set[object]] = {}
-    for instr in method.body:
-        if isinstance(instr, Assign):
-            value = instr.src.value if isinstance(instr.src, Const) else _NOT_CONST
-            writes.setdefault(instr.dst.name, set()).add(value)
-        else:
-            dst = getattr(instr, "dst", None)
-            if isinstance(dst, Var):
-                writes.setdefault(dst.name, set()).add(_NOT_CONST)
-    out: Dict[str, ConstValue] = {}
-    for name, values in writes.items():
-        if len(values) == 1:
-            (value,) = values
-            if value is not _NOT_CONST:
-                out[name] = value  # type: ignore[assignment]
-    return out

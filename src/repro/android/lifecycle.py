@@ -10,7 +10,7 @@ and the pre-dominating callback identifies the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.util.graph import Digraph
 
@@ -100,14 +100,3 @@ def lifecycle_callbacks_of(program, class_name: str) -> List[str]:
 def instance_label(callback: str, instance: int) -> str:
     """Human-readable action label, e.g. ``onResume"2"``."""
     return f'{callback}"{instance}"' if instance > 1 else callback
-
-
-def canonical_pairs_ordered() -> Dict[Tuple[str, str], bool]:
-    """Callback-name ordering facts used by tests: for single-instance
-    callbacks, is ``a`` always before ``b``?"""
-    facts: Dict[Tuple[str, str], bool] = {}
-    order = ["onCreate", "onStart", "onResume", "onPause", "onStop", "onDestroy"]
-    for i, a in enumerate(order):
-        for b in order[i + 1 :]:
-            facts[(a, b)] = True
-    return facts

@@ -406,20 +406,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
             host=args.host or DEFAULT_HOST,
             port=DEFAULT_PORT if args.port is None else args.port,
             job_timeout_s=args.job_timeout,
-            isolate=not args.no_isolation,
             sample_interval_s=args.sample_interval,
             slo=slo_overrides or None,
         )
         daemon.start()
     except ValueError as exc:
-        # bad --slo objective/field name, bad sample interval
+        # bad --slo objective/field name, bad sample interval, no fork
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     except (LedgerError, ServeError, OSError) as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
-    mode = "forked" if daemon.pool.isolated else "in-process (no fork here)"
-    print(f"serving on {daemon.url} — {args.workers} {mode} worker(s)")
+    print(f"serving on {daemon.url} — {args.workers} forked worker(s)")
     print(f"job queue + results: {history}")
     if daemon.recovered_jobs:
         print(f"requeued {daemon.recovered_jobs} job(s) a previous daemon left running")
@@ -527,7 +525,6 @@ def cmd_corpus_analyze(args: argparse.Namespace) -> int:
             apps=args.apps,
             options=_options_from(args),
             timeout_s=args.timeout,
-            isolate=not args.no_isolation,
             out_path=args.out or None,
             inject_fail=set(args.inject_fail or ()),
             inject_hang=set(args.inject_hang or ()),
@@ -770,6 +767,23 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
         return value
 
+    def positive_seconds(text: str) -> float:
+        """A wall-clock budget or interval: zero or less would expire
+        every app at once and an infinite one overflows the scheduler's
+        pipe wait, so argparse refuses them (exit 2)."""
+        value = float(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+        return value
+
+    def positive_count(text: str) -> int:
+        """A pool width: zero or less makes no pool (``--shards`` silently
+        ran one), so argparse refuses it (exit 2)."""
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
     def add_analysis_flags(p):
         p.add_argument("--selector", default="action",
                        choices=("insensitive", "kcfa", "kobj", "hybrid", "action"))
@@ -861,13 +875,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--apps", nargs="*", default=None,
                        help="apps to run (default: figure apps + all 20 paper apps)")
-    batch.add_argument("--timeout", type=float, default=120.0,
+    batch.add_argument("--timeout", type=positive_seconds, default=120.0,
                        help="per-app wall-clock budget in seconds (default 120)")
     batch.add_argument("--out", default="RUN_report.json",
                        help="report path (empty string to skip writing)")
-    batch.add_argument("--no-isolation", action="store_true",
-                       help="run apps in-process (no worker fork, timeouts "
-                       "not enforced; for debugging)")
     batch.add_argument("--inject-fail", action="append", metavar="APP",
                        help="fault injection: APP's worker raises before "
                        "analysis (testing aid, repeatable)")
@@ -878,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fault injection: corrupt every cache entry "
                        "before the batch starts, reported on APP's record "
                        "(testing aid, repeatable; requires --cache)")
-    batch.add_argument("--shards", type=int, default=1,
+    batch.add_argument("--shards", type=positive_count, default=1,
                        help="worker-pool width for the sharded scheduler "
                        "(default 1; per-shard refutation parallelism is "
                        "core-budgeted to cores//shards)")
@@ -972,14 +983,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=None,
                        help="bind port (default 8787; 0 picks a free port)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=positive_count, default=2,
                        help="worker threads draining the job queue (default 2)")
-    serve.add_argument("--job-timeout", type=float, default=120.0,
+    serve.add_argument("--job-timeout", type=positive_seconds, default=120.0,
                        help="per-job wall-clock budget in seconds (default 120)")
-    serve.add_argument("--no-isolation", action="store_true",
-                       help="run jobs in-process (no worker fork, timeouts "
-                       "not enforced; for debugging)")
-    serve.add_argument("--sample-interval", type=float, default=1.0,
+    serve.add_argument("--sample-interval", type=positive_seconds, default=1.0,
                        help="telemetry ring-buffer sampling interval in "
                        "seconds (default 1.0)")
     serve.add_argument("--slo", action="append", metavar="KEY=VALUE",

@@ -14,7 +14,7 @@ from repro.core.provenance import (
     render_evidence_tree,
 )
 from repro.core.races import DATA_RACE, EVENT_RACE, RacyPair, find_racy_pairs, racy_pair_stats
-from repro.core.refute import RefutationEngine, RefutationResult, RefutationSummary, WorkerPoolError, refute_races
+from repro.core.refute import RefutationEngine, RefutationResult, RefutationSummary, WorkerPoolError
 from repro.core.report import RaceReport, SierraReport, format_table, median
 
 __all__ = [
@@ -62,6 +62,5 @@ __all__ = [
     "median",
     "racy_pair_stats",
     "rank_races",
-    "refute_races",
     "render_evidence_tree",
 ]

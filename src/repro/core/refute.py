@@ -489,15 +489,3 @@ def _refute_parallel(
                 )
             )
     return summary
-
-
-def refute_races(
-    extraction: Extraction,
-    pairs: List[RacyPair],
-    parallelism: int = 1,
-    **kwargs,
-) -> RefutationSummary:
-    """Run symbolic refutation over all candidate pairs."""
-    return RefutationEngine(extraction, **kwargs).refute_all(
-        pairs, parallelism=parallelism
-    )

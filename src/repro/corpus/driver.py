@@ -12,9 +12,8 @@ corpus app with **per-app fault isolation**:
   continues;
 * each app's obs events — the detector's stages, warnings, and
   degradation signals (e.g. the refutation pool falling back to serial)
-  — are kept on its record: a forked worker streams them to the parent
-  as they happen, an in-process run records them with a
-  :class:`repro.obs.Recorder`;
+  — are kept on its record: the worker streams them to the parent as
+  they happen;
 * the run emits a structured ``RUN_report.json`` (schema below) and a
   meaningful exit code: 0 when every app is ``ok``, 1 otherwise.
 
@@ -30,11 +29,7 @@ has never been tested.
 from __future__ import annotations
 
 import dataclasses
-import gc
-import logging
-import multiprocessing
 import platform
-import sys
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -49,8 +44,10 @@ _log = obs_log.get_logger("corpus.driver")
 #: block embedded when the batch records into a run-history ledger; 3: the
 #: ``cost_model`` key is gone, since the scheduler orders by static cost
 #: and fits no model; 4: events are ``span_*`` only — the Table 4 stages
-#: are the root spans — and ``options`` has no ``profile`` key)
-SCHEMA = 4
+#: are the root spans — and ``options`` has no ``profile`` key; 5: the
+#: run and its apps have no ``isolated`` key, since every app runs in a
+#: forked worker)
+SCHEMA = 5
 
 STATUS_OK = "ok"
 STATUS_DEGRADED = "degraded"
@@ -87,7 +84,6 @@ class AppRunRecord:
     events: List[Dict[str, object]] = field(default_factory=list)
     #: {"type", "message", "traceback"} for error/timeout statuses
     error: Optional[Dict[str, str]] = None
-    isolated: bool = True
     #: transport-only (ledger rows computed in the worker, where the report
     #: objects live): not serialized into RUN_report.json — the ledger is
     #: their durable home, the JSON report stays a summary
@@ -95,8 +91,8 @@ class AppRunRecord:
     metrics: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # one rule for isolated, in-process and serve records: warnings,
-        # degradations and the ok -> degraded step are read off the events
+        # one rule for batch and serve records: warnings, degradations
+        # and the ok -> degraded step are read off the events
         if self.status == STATUS_OK and self.degradations:
             self.status = STATUS_DEGRADED
 
@@ -128,7 +124,6 @@ class AppRunRecord:
             "degradations": self.degradations,
             "events": list(self.events),
             "error": dict(self.error) if self.error else None,
-            "isolated": self.isolated,
         }
 
 
@@ -138,7 +133,6 @@ class RunReport:
 
     records: List[AppRunRecord] = field(default_factory=list)
     timeout_s: float = DEFAULT_TIMEOUT_S
-    isolated: bool = True
     options: Dict[str, object] = field(default_factory=dict)
     elapsed_s: float = 0.0
     #: set when the batch recorded into a run-history ledger
@@ -174,7 +168,6 @@ class RunReport:
             "schema": SCHEMA,
             "python": platform.python_version(),
             "timeout_s": self.timeout_s,
-            "isolated": self.isolated,
             "options": dict(self.options),
             "run_id": self.run_id,
             "history": self.history_path,
@@ -193,7 +186,7 @@ class RunReport:
 
 
 # ----------------------------------------------------------------------
-# per-app execution (shared by the worker process and the inline fallback)
+# per-app execution (inside the forked worker)
 # ----------------------------------------------------------------------
 def _execute_app(
     name: str,
@@ -204,9 +197,9 @@ def _execute_app(
 ) -> Dict[str, object]:
     """Run one app's pipeline; return the JSON-ready payload.
 
-    Raises whatever the pipeline raises — the caller decides whether that
-    crosses a process boundary (isolated mode) or a try/except (inline).
-    Installs no obs hook: the caller owns the app's event list.
+    Raises whatever the pipeline raises: the worker loop turns it into an
+    error payload. Installs no obs hook: the caller owns the app's event
+    list.
     ``corrupted_entries`` is set for an app named by
     ``--inject-cache-corrupt``: how many cache entries the batch truncated
     before its first app started, reported as a warning on this app.
@@ -217,8 +210,7 @@ def _execute_app(
     from repro.obs.history import collect_stage_timings, race_row
 
     # bind the app for the extent of the analysis: every detector-stage
-    # log line (bridged off the obs bus) carries it, in this process or
-    # a forked worker alike
+    # log line (bridged off the obs bus) carries it
     with obs_log.bind(app=name):
         if inject_fail:
             raise RuntimeError(f"injected failure for {name!r} (--inject-fail)")
@@ -263,29 +255,6 @@ def _error_payload(exc: BaseException) -> Dict[str, object]:
     }
 
 
-def _run_one_inline(
-    name: str,
-    options_dict: Dict[str, object],
-    inject_fail: bool,
-    inject_hang_s: float,
-    corrupted_entries: Optional[int] = None,
-) -> AppRunRecord:
-    t0 = time.perf_counter()
-    with obs.Recorder() as recorder:
-        try:
-            payload = _execute_app(
-                name, options_dict, inject_fail, inject_hang_s, corrupted_entries
-            )
-        except Exception as exc:
-            payload = _error_payload(exc)
-    record = AppRunRecord(
-        app=name, events=recorder.to_dicts(), **_record_kwargs(payload)
-    )
-    record.elapsed_s = time.perf_counter() - t0
-    record.isolated = False
-    return record
-
-
 def _record_kwargs(payload: Dict[str, object]) -> Dict[str, object]:
     allowed = {f.name for f in dataclasses.fields(AppRunRecord)} - {"app"}
     return {k: v for k, v in payload.items() if k in allowed}
@@ -312,7 +281,6 @@ def run_corpus(
     apps: Optional[Sequence[str]] = None,
     options=None,
     timeout_s: float = DEFAULT_TIMEOUT_S,
-    isolate: bool = True,
     out_path: Optional[str] = None,
     inject_fail: Sequence[str] = (),
     inject_hang: Sequence[str] = (),
@@ -324,19 +292,19 @@ def run_corpus(
 ) -> RunReport:
     """Run the pipeline over ``apps`` (default: the full corpus).
 
-    Isolated batches run on the sharded scheduler
-    (:mod:`repro.corpus.scheduler`): a persistent pool of ``shards``
-    forked workers takes apps from one queue, largest static cost
-    (:func:`~repro.corpus.families.estimate_cost`) first. Each app still
-    runs under ``timeout_s``; a worker crash, analysis exception, or hang
-    is recorded on that app's :class:`AppRunRecord` (and the shard
-    respawned) while the batch moves on. With ``shards > 1`` the per-worker ``SierraOptions.parallelism``
-    is capped by the core budget (``max(1, cores // shards)``) so the pool
-    cannot oversubscribe the machine; the cap is reported as
-    ``effective_parallelism``. ``isolate=False`` (or a platform without
-    ``fork``) runs apps in-process instead — exceptions are still caught
-    per app, but timeouts are **not enforceable** and a hard crash would
-    take the batch down; the report says which mode ran.
+    Batches run on the sharded scheduler (:mod:`repro.corpus.scheduler`):
+    a persistent pool of ``shards`` forked workers takes apps from one
+    queue, largest static cost
+    (:func:`~repro.corpus.families.estimate_cost`) first. Each app runs
+    under ``timeout_s``; a worker crash, analysis exception, or hang is
+    recorded on that app's :class:`AppRunRecord` (and the shard
+    respawned) while the batch moves on. With ``shards > 1`` the
+    per-worker ``SierraOptions.parallelism`` is capped by the core budget
+    (``max(1, cores // shards)``) so the pool cannot oversubscribe the
+    machine; the cap is reported as ``effective_parallelism``. A platform
+    without the ``fork`` start method raises :class:`ValueError` before
+    the ledger opens, since no other way to run an app enforces its
+    timeout.
 
     ``progress_line=True`` streams a live done/total + apps/sec + ETA
     line to stderr (distinct from the ``progress`` callback, which fires
@@ -364,6 +332,8 @@ def run_corpus(
     """
     from repro.cli import is_known_app
     from repro.core import SierraOptions
+    from repro.corpus import scheduler as sched
+    from repro.corpus.families import estimate_cost
 
     names = list(apps) if apps else default_corpus()
     unknown = [n for n in names if not is_known_app(n)]
@@ -374,18 +344,7 @@ def run_corpus(
 
     options = options or SierraOptions()
     options_dict = dataclasses.asdict(options)
-    hang_s = timeout_s + 30.0  # sleeps comfortably past the budget
-
-    mp_context = None
-    if isolate:
-        try:
-            mp_context = multiprocessing.get_context("fork")
-        except ValueError:
-            print(
-                "corpus-analyze: fork unavailable; running without process "
-                "isolation (timeouts not enforced)",
-                file=sys.stderr,
-            )
+    mp_context = sched.fork_context()
 
     ledger = None
     if history:
@@ -410,11 +369,8 @@ def run_corpus(
 
     run = RunReport(
         timeout_s=timeout_s,
-        isolated=mp_context is not None,
         options=options_dict,
-        shards=(
-            max(1, min(int(shards), len(names))) if mp_context is not None else 1
-        ),
+        shards=max(1, min(int(shards), len(names))),
     )
     try:
         if ledger is not None:
@@ -423,8 +379,7 @@ def run_corpus(
             )
             run.history_path = history
         obs_log.event(
-            _log, "corpus.start", apps=len(names),
-            isolated=mp_context is not None, run_id=run.run_id,
+            _log, "corpus.start", apps=len(names), run_id=run.run_id,
             shards=run.shards,
         )
         t0 = time.perf_counter()
@@ -449,64 +404,39 @@ def run_corpus(
                 for record in batch:
                     progress(record)
 
-        if mp_context is not None:
-            from repro.corpus import scheduler as sched
-            from repro.corpus.families import estimate_cost
-
-            requested = int(options_dict.get("parallelism") or 1)
-            effective_options = options_dict
-            if run.shards > 1:
-                budget = sched.core_budget(run.shards, requested)
-                if budget != requested:
-                    effective_options = dict(options_dict, parallelism=budget)
-                run.effective_parallelism = budget
-            items = [
-                sched.WorkItem(
-                    index=i,
-                    name=name,
-                    cost=estimate_cost(name),
-                    inject_fail=name in inject_fail,
-                    inject_hang_s=hang_s if name in inject_hang else 0.0,
-                    corrupted_entries=corrupted_for(name),
-                )
-                for i, name in enumerate(names)
-            ]
-            line = (
-                sched.ProgressLine(len(items), sum(it.cost for it in items))
-                if progress_line
-                else None
+        requested = int(options_dict.get("parallelism") or 1)
+        effective_options = options_dict
+        if run.shards > 1:
+            budget = sched.core_budget(run.shards, requested)
+            if budget != requested:
+                effective_options = dict(options_dict, parallelism=budget)
+            run.effective_parallelism = budget
+        items = [
+            sched.WorkItem(
+                index=i,
+                name=name,
+                cost=estimate_cost(name),
+                inject_fail=name in inject_fail,
+                inject_hang=name in inject_hang,
+                corrupted_entries=corrupted_for(name),
             )
+            for i, name in enumerate(names)
+        ]
+        line = (
+            sched.ProgressLine(len(items), sum(it.cost for it in items))
+            if progress_line
+            else None
+        )
 
-            run.records = sched.run_sharded(
-                mp_context,
-                items,
-                effective_options,
-                shards=run.shards,
-                timeout_s=timeout_s,
-                on_batch=flush,
-                progress=line,
-            )
-        else:
-            for name in names:
-                fail = name in inject_fail
-                hang = hang_s if name in inject_hang else 0.0
-                obs_log.event(_log, "app.start", app=name, run_id=run.run_id)
-                record = _run_one_inline(
-                    name, options_dict, fail, hang, corrupted_for(name)
-                )
-                obs_log.event(
-                    _log, "app.finish",
-                    level=logging.INFO if record.ok else logging.WARNING,
-                    app=name, run_id=run.run_id, status=record.status,
-                    elapsed_s=round(record.elapsed_s, 4),
-                    error_type=record.error.get("type") if record.error else None,
-                )
-                run.records.append(record)
-                flush([record])
-                # a one-shot process runs with automatic collection off
-                # (repro/__main__.py): free the app's leftovers before the
-                # next one, as a forked worker does between its tasks
-                gc.collect()
+        run.records = sched.run_sharded(
+            mp_context,
+            items,
+            effective_options,
+            shards=run.shards,
+            timeout_s=timeout_s,
+            on_batch=flush,
+            progress=line,
+        )
         run.elapsed_s = time.perf_counter() - t0
         obs_log.event(_log, "corpus.finish", run_id=run.run_id, **run.summary())
         if ledger is not None:

@@ -44,6 +44,7 @@ import contextlib
 import gc
 import importlib
 import logging
+import multiprocessing
 import os
 import signal
 import sys
@@ -84,6 +85,21 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def fork_context():
+    """The ``fork`` start method every analysis child is made with.
+
+    Raises :class:`ValueError` on a platform without it: no other way to
+    run an app enforces its timeout, so a batch or a daemon refuses to
+    start rather than run without one."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        raise ValueError(
+            "this platform has no 'fork' start method, which every analysis "
+            "worker needs (run one app in-process with `repro analyze APP`)"
+        ) from None
+
+
 def core_budget(shards: int, requested: int = 1, cores: Optional[int] = None) -> int:
     """Inner (per-shard) parallelism that keeps ``shards`` workers from
     oversubscribing the machine: ``min(requested, max(1, cores // shards))``.
@@ -108,7 +124,8 @@ class WorkItem:
     name: str
     cost: float = 1.0
     inject_fail: bool = False
-    inject_hang_s: float = 0.0
+    #: sleep past the deadline before analysis (``--inject-hang``)
+    inject_hang: bool = False
     #: entries the batch truncated, for an app named by --inject-cache-corrupt
     corrupted_entries: Optional[int] = None
 
@@ -318,9 +335,9 @@ class Worker:
         preload_for_fork()
         parent_conn, child_conn = self.mp_context.Pipe(duplex=True)
         # NOT daemonic: a daemonic child could not fork the refutation
-        # pool, which would silently cost every isolated app its
-        # --parallelism. Cleanup is explicit instead: every path that
-        # drops the child reaps it (_release).
+        # pool, which would silently cost every app its --parallelism.
+        # Cleanup is explicit instead: every path that drops the child
+        # reaps it (_release).
         proc = self.mp_context.Process(target=_worker_loop, args=(child_conn,))
         with self.fork_guard() if self.fork_guard else contextlib.nullcontext():
             gc.freeze()
@@ -349,7 +366,8 @@ class Worker:
                     "name": item.name,
                     "options": options_dict,
                     "inject_fail": item.inject_fail,
-                    "inject_hang_s": item.inject_hang_s,
+                    # sleeps comfortably past the budget
+                    "inject_hang_s": timeout_s + 30.0 if item.inject_hang else 0.0,
                     "corrupted_entries": item.corrupted_entries,
                 },
             )
@@ -453,7 +471,6 @@ class Worker:
 
     def _finish(self, record: AppRunRecord) -> AppRunRecord:
         record.elapsed_s = time.perf_counter() - self.started
-        record.isolated = True
         self.current = None
         return record
 

@@ -30,9 +30,9 @@ back across the process boundary therefore reattach to the parent's
 span tree with no translation.
 
 The corpus driver (``repro corpus-analyze``) keeps each app's events
-as its entry in ``RUN_report.json``: a forked analysis child streams
-them to the parent as they happen, an in-process run records them with
-a :class:`Recorder`.
+as its entry in ``RUN_report.json``: the forked analysis child streams
+them to the parent as they happen. ``repro analyze --trace`` records
+its run with a :class:`Recorder`.
 """
 
 from __future__ import annotations

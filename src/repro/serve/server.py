@@ -41,6 +41,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.core import SierraOptions
+from repro.corpus.scheduler import fork_context
 from repro.obs import log as obs_log
 from repro.obs import metrics, telemetry
 from repro.obs.history import LedgerError, RunLedger
@@ -255,7 +256,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "violations": slo["violations"],
                 "workers": self.daemon.pool.workers,
                 "worker_status": self.daemon.pool.worker_status(),
-                "isolated": self.daemon.pool.isolated,
                 "jobs": self.daemon.store.counts(),
                 "queue_wait_s": self.daemon.store.oldest_queued_age_s(),
                 "history": self.daemon.history,
@@ -368,11 +368,13 @@ class ServeDaemon:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         job_timeout_s: float = 120.0,
-        isolate: bool = True,
         sample_interval_s: float = 1.0,
         sample_capacity: int = 600,
         slo: Optional[Dict[str, float]] = None,
     ) -> None:
+        # a platform without fork cannot run a job: refuse before the
+        # store and the ledger open their connections
+        fork_context()
         self.history = history
         self.store = JobStore(history)
         self.ledger = RunLedger(history)
@@ -382,7 +384,6 @@ class ServeDaemon:
             options=options,
             workers=workers,
             job_timeout_s=job_timeout_s,
-            isolate=isolate,
         )
         self._address = (host, port)
         self._httpd: Optional[_Server] = None
@@ -557,8 +558,7 @@ class ServeDaemon:
         self._http_thread.start()
         obs_log.event(
             _log, "serve.started", url=self.url, workers=self.pool.workers,
-            isolated=self.pool.isolated, recovered_jobs=self.recovered_jobs,
-            history=self.history,
+            recovered_jobs=self.recovered_jobs, history=self.history,
         )
 
     def stop(self) -> None:

@@ -20,24 +20,30 @@ app warm-starts from the previous job's substrate bundle
 flight (SIGTERM, then SIGKILL after a grace), so shutdown is bounded. A
 cancelled job stays ``running``; the next daemon start requeues it.
 
-Platforms without ``fork`` degrade to in-process execution under a pool-
-wide lock: results stay exact, concurrency and enforced timeouts are
-lost, and the daemon says so at startup.
+Each job's refutation ``parallelism`` is capped by the core budget
+(:func:`~repro.corpus.scheduler.core_budget`), as the corpus driver caps
+its shards', so ``workers`` concurrent jobs cannot oversubscribe the
+machine. A platform without ``fork`` cannot build the pool
+(:class:`ValueError`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import multiprocessing
 import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Optional
 
 from repro.core import SierraOptions
-from repro.corpus.driver import _run_one_inline
-from repro.corpus.scheduler import Worker, WorkItem, preload_for_fork
+from repro.corpus.scheduler import (
+    Worker,
+    WorkItem,
+    core_budget,
+    fork_context,
+    preload_for_fork,
+)
 from repro.obs import log as obs_log
 from repro.obs import metrics
 from repro.obs.history import KIND_SERVE, LedgerError, RunLedger
@@ -94,11 +100,11 @@ class WorkerPool:
         options: Optional[SierraOptions] = None,
         workers: int = 2,
         job_timeout_s: float = 120.0,
-        isolate: bool = True,
         poll_interval_s: float = 0.05,
     ) -> None:
         if workers < 1:
             raise ValueError(f"worker pool needs >= 1 worker, got {workers}")
+        self._mp_context = fork_context()
         self.store = store
         self.ledger = ledger
         self.options = options or SierraOptions()
@@ -114,20 +120,10 @@ class WorkerPool:
         # before the job budget expires
         self._status_lock = threading.Lock()
         self._worker_state: Dict[str, Dict[str, object]] = {}
-        # in-process fallback when fork is unavailable: one job at a time
-        # (the metrics registry is process-global; interleaved scrape
-        # windows would corrupt each other's counters)
-        self._inline_lock = threading.Lock()
         # the forked jobs in flight, for stop() to cancel; registered,
         # with the stop flag re-checked, under this lock
         self._lock = threading.Lock()
         self._in_flight: set = set()
-        self._mp_context = None
-        if isolate:
-            try:
-                self._mp_context = multiprocessing.get_context("fork")
-            except ValueError:
-                pass
         # instruments are created once, here: the hot paths below only
         # touch pre-bound objects, so no thread holds the registry lock
         # at an inopportune fork moment
@@ -141,15 +137,10 @@ class WorkerPool:
             "serve.job_seconds", "per-job wall clock", buckets=LATENCY_BUCKETS
         )
 
-    @property
-    def isolated(self) -> bool:
-        return self._mp_context is not None
-
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        if self.isolated:
-            # before any worker thread exists: jobs fork from those threads
-            preload_for_fork()
+        # before any worker thread exists: jobs fork from those threads
+        preload_for_fork()
         for i in range(self.workers):
             thread = threading.Thread(
                 target=self._loop, args=(f"worker-{i}",), daemon=True,
@@ -162,9 +153,7 @@ class WorkerPool:
         """Stop claiming, cancel the forked jobs in flight, join the threads.
 
         A cancelled job stays ``running``: the next daemon's
-        :meth:`JobStore.recover` requeues it. An in-process job (no fork)
-        cannot be cancelled; its daemon thread is abandoned after the
-        join timeout."""
+        :meth:`JobStore.recover` requeues it."""
         self._stop.set()
         self._wake.set()
         with self._lock:
@@ -267,38 +256,35 @@ class WorkerPool:
 
     def _run_job(self, job: Job, worker_name: str) -> None:
         options_dict = merge_job_options(self.options, job.options)
+        # ``workers`` jobs run at once: cap each one's refutation pool so
+        # they share the cores, as run_corpus does for its shards
+        options_dict["parallelism"] = core_budget(
+            self.workers, int(options_dict.get("parallelism") or 1)
+        )
         item = WorkItem(
             index=0,
             name=job.app,
             inject_fail=bool(job.options.get("inject_fail")),
-            inject_hang_s=(
-                self.job_timeout_s + 30.0 if job.options.get("inject_hang") else 0.0
-            ),
+            inject_hang=bool(job.options.get("inject_hang")),
         )
         t0 = time.perf_counter()
         # bind the job's identity for the extent of the analysis: the
         # forked child inherits the binding, so detector-stage log lines
         # carry job_id/app with no plumbing through the driver
         with obs_log.bind(job_id=job.job_id, app=job.app, worker=worker_name):
-            if self._mp_context is not None:
-                worker = Worker(self._mp_context, fork_guard=self._sqlite_quiesced)
+            worker = Worker(self._mp_context, fork_guard=self._sqlite_quiesced)
+            with self._lock:
+                if self._stop.is_set():
+                    return  # no fork once stop() began: the job stays running
+                worker.start()
+                self._in_flight.add(worker)
+            try:
+                record = worker.run(item, options_dict, self.job_timeout_s)
+            finally:
                 with self._lock:
-                    if self._stop.is_set():
-                        return  # no fork once stop() began: the job stays running
-                    worker.start()
-                    self._in_flight.add(worker)
-                try:
-                    record = worker.run(item, options_dict, self.job_timeout_s)
-                finally:
-                    with self._lock:
-                        self._in_flight.discard(worker)
-                if worker.cancelled:
-                    return  # left running, for the next start's recover()
-            else:
-                with self._inline_lock:
-                    record = _run_one_inline(
-                        job.app, options_dict, item.inject_fail, item.inject_hang_s
-                    )
+                    self._in_flight.discard(worker)
+            if worker.cancelled:
+                return  # left running, for the next start's recover()
         elapsed = time.perf_counter() - t0
 
         # one ledger run per job: the same row shape `repro analyze

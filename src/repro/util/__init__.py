@@ -4,12 +4,10 @@ These helpers are deliberately dependency-free so every layer of the
 reproduction (IR, analyses, SHBG, corpus generator) can build on them.
 """
 
-from repro.util.graph import Digraph, topological_order
-from repro.util.ids import IdAllocator, qualified_name
+from repro.util.graph import Digraph
+from repro.util.ids import qualified_name
 
 __all__ = [
     "Digraph",
-    "IdAllocator",
     "qualified_name",
-    "topological_order",
 ]

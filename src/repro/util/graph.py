@@ -360,69 +360,3 @@ class TransitiveClosure(Generic[N]):
 
     def has_cycle(self) -> bool:
         return any((row >> i) & 1 for i, row in enumerate(self._after))
-
-
-def topological_order(graph: Digraph[N]) -> List[N]:
-    """Kahn's algorithm; raises ValueError on cyclic graphs."""
-    indegree = {node: len(graph.predecessors(node)) for node in graph.nodes}
-    ready = deque(node for node, deg in indegree.items() if deg == 0)
-    order: List[N] = []
-    while ready:
-        node = ready.popleft()
-        order.append(node)
-        for nxt in graph.successors(node):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != len(graph):
-        raise ValueError("graph has a cycle; no topological order exists")
-    return order
-
-
-def strongly_connected_components(graph: Digraph[N]) -> List[List[N]]:
-    """Tarjan's SCC algorithm (iterative), components in reverse topological order."""
-    index: Dict[N, int] = {}
-    lowlink: Dict[N, int] = {}
-    on_stack: Set[N] = set()
-    stack: List[N] = []
-    components: List[List[N]] = []
-    counter = 0
-
-    for root in graph.nodes:
-        if root in index:
-            continue
-        work: List[Tuple[N, Iterator[N]]] = [(root, iter(graph.successors(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(graph.successors(nxt))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: List[N] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components

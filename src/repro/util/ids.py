@@ -1,38 +1,6 @@
-"""Deterministic identifier helpers.
-
-Analyses key many maps by synthesized ids (action ids, abstract-object ids,
-context tuples). Allocation order is deterministic because every traversal in
-the reproduction is, so these counters yield stable ids across runs — a
-property the regression tests rely on.
-"""
+"""Identifier helpers: Java-style qualified member names."""
 
 from __future__ import annotations
-
-from typing import Dict
-
-
-class IdAllocator:
-    """Allocates dense integer ids per namespace, remembering assignments."""
-
-    def __init__(self) -> None:
-        self._next: Dict[str, int] = {}
-        self._assigned: Dict[str, Dict[object, int]] = {}
-
-    def fresh(self, namespace: str = "") -> int:
-        """Return the next unused id in ``namespace``."""
-        value = self._next.get(namespace, 0)
-        self._next[namespace] = value + 1
-        return value
-
-    def id_for(self, key: object, namespace: str = "") -> int:
-        """Return a stable id for ``key``, allocating on first sight."""
-        table = self._assigned.setdefault(namespace, {})
-        if key not in table:
-            table[key] = self.fresh(namespace)
-        return table[key]
-
-    def count(self, namespace: str = "") -> int:
-        return self._next.get(namespace, 0)
 
 
 def qualified_name(class_name: str, member: str) -> str:

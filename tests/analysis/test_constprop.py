@@ -1,6 +1,6 @@
 """On-demand constant propagation for Message fields (§5)."""
 
-from repro.analysis.constprop import constant_message_fields, constant_registers
+from repro.analysis.constprop import constant_message_fields
 from repro.android.framework import install_framework
 from repro.ir.builder import ProgramBuilder
 
@@ -88,16 +88,3 @@ class TestMessageConstants:
 
         method, site = sender(emit)
         assert constant_message_fields(method, site) == {"what": 1}
-
-
-class TestConstantRegisters:
-    def test_single_constant(self):
-        pb = ProgramBuilder()
-        mb = pb.new_class("t.C").method("m")
-        mb.const("x", 5)
-        mb.const("y", 1)
-        mb.move("y", "x")  # y reassigned: not constant
-        mb.ret()
-        consts = constant_registers(mb.method)
-        assert consts.get("x") == 5
-        assert "y" not in consts

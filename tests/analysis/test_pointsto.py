@@ -359,14 +359,21 @@ def _assert_same_fixpoint(worklist, passes):
 
 
 class TestSolverEquivalence:
-    def test_worklist_equals_passes_on_paper_scale_phase_a(self):
+    """Each phase runs on a paper app and on newsreader, the one corpus
+    app whose fixpoint goes wrong when a field write does not wake that
+    field's readers."""
+
+    @pytest.mark.parametrize(
+        "app", ["paper:K-9 Mail", "newsreader"], ids=lambda a: a.replace(" ", "_")
+    )
+    def test_worklist_equals_passes_on_paper_scale_phase_a(self, app):
         """The delta-worklist driver reaches the pass iteration's fixpoint
-        on the largest corpus app: same points-to maps, same call graph."""
+        in phase A: same points-to maps, same call graph."""
         from repro.analysis.context import InsensitiveSelector
         from repro.cli import load_app
         from repro.core.harness import generate_harnesses
 
-        apk = load_app("paper:K-9 Mail")
+        apk = load_app(app)
         harness = generate_harnesses(apk)
 
         def solve(driver):
@@ -380,7 +387,8 @@ class TestSolverEquivalence:
 
         _assert_same_fixpoint(solve(PointerAnalysis), solve(PassesAnalysis))
 
-    def test_worklist_equals_passes_on_action_sensitive_phase_c(self):
+    @pytest.mark.parametrize("app", ["paper:OpenSudoku", "newsreader"])
+    def test_worklist_equals_passes_on_action_sensitive_phase_c(self, app):
         """Phase C, the action-sensitive re-solve that routes every action
         entry through the extraction's resolver, reaches the pass
         iteration's fixpoint too."""
@@ -388,7 +396,7 @@ class TestSolverEquivalence:
         from repro.core.extract import extract_actions
         from repro.core.harness import generate_harnesses
 
-        apk = load_app("paper:OpenSudoku")
+        apk = load_app(app)
         harness = generate_harnesses(apk)
         ext = extract_actions(apk, harness)
         passes = PassesAnalysis(

@@ -5,7 +5,6 @@ from repro.android.lifecycle import (
     EXPECTED_LIFECYCLE_HB,
     EXPECTED_LIFECYCLE_UNORDERED,
     LifecycleState,
-    canonical_pairs_ordered,
     instance_label,
     lifecycle_callbacks_of,
     lifecycle_state_graph,
@@ -61,12 +60,6 @@ class TestExpectations:
         for pair in EXPECTED_LIFECYCLE_UNORDERED:
             assert pair not in ordered
             assert (pair[1], pair[0]) not in ordered
-
-    def test_canonical_order_facts(self):
-        facts = canonical_pairs_ordered()
-        assert facts[("onCreate", "onDestroy")]
-        assert facts[("onStart", "onPause")]
-        assert ("onDestroy", "onCreate") not in facts
 
 
 class TestHelpers:

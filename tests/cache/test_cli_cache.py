@@ -78,11 +78,10 @@ class TestInjectCacheCorrupt:
         cache = str(tmp_path / "cache")
         options = SierraOptions(cache_dir=cache)
         # populate, then re-run with every entry truncated
-        run_corpus(apps=["quickstart"], options=options, isolate=False)
+        run_corpus(apps=["quickstart"], options=options)
         run = run_corpus(
             apps=["quickstart"],
             options=options,
-            isolate=False,
             inject_cache_corrupt={"quickstart"},
         )
         (record,) = run.records
@@ -139,7 +138,6 @@ class TestInjectCacheCorrupt:
         run = run_corpus(
             apps=["quickstart"],
             options=SierraOptions(),
-            isolate=False,
             inject_cache_corrupt={"quickstart"},
         )
         (record,) = run.records

@@ -6,6 +6,8 @@ read-only once built, so every test file can share one result per app.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.core import Sierra, SierraOptions
@@ -84,3 +86,16 @@ def small_synth():
 def small_synth_result(small_synth):
     apk, _truth = small_synth
     return Sierra(SierraOptions(compare_without_as=True)).analyze(apk)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """A platform whose multiprocessing has no ``fork`` start method."""
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)

@@ -57,11 +57,10 @@ class TestCleanRun:
         out = tmp_path / "RUN_report.json"
         run = run_corpus(apps=SMALL, out_path=str(out))
         data = json.loads(out.read_text())
-        assert data["schema"] == 4
+        assert data["schema"] == 5
         assert "cost_model" not in data
         assert data["run_id"] is None  # no --history: provenance block empty
         assert data["history"] is None
-        assert data["isolated"] is True
         assert set(data["apps"]) == set(SMALL)
         assert data["summary"] == run.summary()
         assert data["options"]["path_budget"] == 5000
@@ -116,22 +115,12 @@ class TestFaultIsolation:
         with pytest.raises(ValueError, match="unknown corpus app"):
             run_corpus(apps=["quickstart", "paper:NoSuchApp"])
 
-    def test_inline_mode_still_catches_exceptions(self):
-        run = run_corpus(apps=SMALL, isolate=False, inject_fail=["dbapp"])
-        statuses = _statuses(run)
-        assert statuses["dbapp"] == STATUS_ERROR
-        assert statuses["quickstart"] == STATUS_OK
-        assert run.exit_code == 1
-        assert all(not r.isolated for r in run.records)
-
 
 class TestNestedParallelism:
     def test_parallel_refutation_inside_isolated_worker_stays_ok(self):
         """Workers must not be daemonic: a daemonic worker cannot fork the
-        refutation pool, silently costing every isolated app its
-        --parallelism (it would show up here as status 'degraded')."""
-        from repro.core import SierraOptions
-
+        refutation pool, silently costing every app its --parallelism (it
+        would show up here as status 'degraded')."""
         run = run_corpus(
             apps=["opensudoku"], options=SierraOptions(parallelism=2)
         )
@@ -162,44 +151,13 @@ class TestRecordViews:
         assert record.warnings == []
 
 
-class TestIsolationEquivalence:
-    def test_isolated_and_inline_runs_record_the_same_events(self, tmp_path):
-        apps = ["quickstart", "newsreader"]
-        by_mode = {}
-        for isolate in (True, False):
-            cache_dir = tmp_path / ("isolated" if isolate else "inline")
-            run = run_corpus(
-                apps=apps,
-                isolate=isolate,
-                options=SierraOptions(cache_dir=str(cache_dir)),
-                inject_cache_corrupt=["newsreader"],
-            )
-            by_mode[isolate] = {r.app: r for r in run.records}
-        for app in apps:
-            isolated, inline = by_mode[True][app], by_mode[False][app]
-            assert isolated.status == inline.status
-            assert [(e["kind"], e.get("stage")) for e in isolated.events] == [
-                (e["kind"], e.get("stage")) for e in inline.events
-            ]
-            assert isolated.warnings == inline.warnings
-            assert isolated.degradations == inline.degradations
-        assert any(
-            "injected cache corruption" in w
-            for w in by_mode[True]["newsreader"].warnings
-        )
-
-
 class TestLifecycleLog:
-    @pytest.mark.parametrize(
-        "mode",
-        [{"shards": 1}, {"shards": 2}, {"isolate": False}],
-        ids=["shards1", "shards2", "inline"],
-    )
-    def test_each_app_logs_one_start_and_one_finish(self, mode):
+    @pytest.mark.parametrize("shards", [1, 2], ids=["shards1", "shards2"])
+    def test_each_app_logs_one_start_and_one_finish(self, shards):
         stream = io.StringIO()
         obs_log.configure(level="info", json_mode=True, stream=stream)
         try:
-            run_corpus(apps=SMALL, **mode)
+            run_corpus(apps=SMALL, shards=shards)
         finally:
             obs_log.unconfigure()
         lines = [json.loads(line) for line in stream.getvalue().splitlines()]
@@ -216,9 +174,38 @@ class TestLifecycleLog:
                 if line["event"] == "app.finish" and line["app"] == app
             ]
             assert len(starts) == 1 and len(finishes) == 1
-            if mode.get("isolate", True):
-                assert "shard" in starts[0]
-                assert starts[0]["cost"] > 0
+            assert "shard" in starts[0]
+            assert starts[0]["cost"] > 0
+
+
+class TestWithoutFork:
+    """No other way to run an app enforces its timeout, so a platform
+    without ``fork`` refuses the batch before it writes anything."""
+
+    def test_run_corpus_raises_before_the_ledger_opens(self, no_fork, tmp_path):
+        with pytest.raises(ValueError, match="no 'fork' start method"):
+            run_corpus(
+                apps=SMALL,
+                history=str(tmp_path / "runs.sqlite"),
+                out_path=str(tmp_path / "RUN_report.json"),
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_exits_two_with_one_line(self, no_fork, tmp_path, capsys):
+        code = main(
+            ["corpus-analyze", "--apps", *SMALL,
+             "--out", str(tmp_path / "RUN_report.json"),
+             "--history", str(tmp_path / "runs.sqlite")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corpus-analyze: ") and "'fork'" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_analyze_still_runs_in_process(self, no_fork, capsys):
+        assert main(["analyze", "quickstart", "--parallelism", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["races_after_refutation"] == 1
 
 
 class TestDefaultCorpus:

@@ -157,8 +157,8 @@ def _leave_a_cycle(name, *args):
 
 
 class TestGarbageCollection:
-    """Both corpus loops run apps with automatic collection off and
-    collect once between them; a shard worker's heap arrives frozen."""
+    """A shard worker runs apps with automatic collection off and collects
+    once between them; its heap arrives frozen."""
 
     def test_worker_collects_between_tasks(self, monkeypatch):
         import gc
@@ -179,24 +179,6 @@ class TestGarbageCollection:
         objects = [c["objects"] for c in counters]
         assert max(objects) - min(objects) < _CYCLE, objects
         assert gc.get_freeze_count() == frozen  # unfrozen after the fork
-
-    def test_inline_batch_collects_between_apps(self, monkeypatch):
-        """``--no-isolation`` under ``python -m repro``: collection is off
-        in the batch's own process."""
-        import gc
-
-        from repro.corpus import driver
-
-        monkeypatch.setattr(driver, "_execute_app", _leave_a_cycle)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            run = run_corpus(apps=[f"fdroid:{i}" for i in range(20)], isolate=False)
-        finally:
-            if was_enabled:
-                gc.enable()
-        objects = [r.counters["objects"] for r in run.records]
-        assert max(objects) - min(objects) < _CYCLE, objects
 
 
 class TestDriverIntegration:

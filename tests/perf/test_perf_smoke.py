@@ -30,7 +30,7 @@ class TestCorpusAnalyzeSmoke:
         )
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["schema"] == 4
+        assert data["schema"] == 5
         assert data["summary"]["ok"] == data["summary"]["total"] == 2
         for record in data["apps"].values():
             assert record["status"] == "ok"

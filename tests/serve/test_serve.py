@@ -180,6 +180,41 @@ def test_second_submission_warm_starts(client):
     assert worklist(second) == 0  # the warm run replayed the cached substrate
 
 
+@pytest.mark.serve_smoke
+def test_job_parallelism_is_capped_by_the_core_budget(client):
+    """Two workers at --parallelism 64 would fork 128 refutation
+    processes: each job runs at its share of the cores, and its ledger
+    run records the value it ran with."""
+    from repro.corpus.scheduler import core_budget
+
+    def ran_with(options):
+        final = client.wait(str(client.submit("quickstart", options)["job_id"]),
+                            timeout_s=90)
+        assert final["status"] == DONE
+        return client.report(str(final["run_id"]))["options"]["parallelism"]
+
+    assert ran_with({"parallelism": 64}) == core_budget(2, 64)
+    assert ran_with({}) == 1
+
+
+def test_without_fork_the_daemon_refuses_before_opening_files(
+    tmp_path, no_fork, capsys
+):
+    """No other way to run a job enforces its timeout: ``serve`` exits 2
+    with one line, and the daemon opens neither the job store nor the
+    ledger."""
+    from repro.cli import main
+
+    history = str(tmp_path / "runs.sqlite")
+    with pytest.raises(ValueError, match="no 'fork' start method"):
+        ServeDaemon(history, workers=1, port=0)
+    assert main(["serve", "--history", history, "--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("serve: ") and "'fork'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_daemon_recovers_orphaned_jobs(tmp_path):
     history = tmp_path / "runs.sqlite"
     with JobStore(str(history)) as store:

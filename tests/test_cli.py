@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from repro.cli import load_app, main
+from repro.cli import build_parser, load_app, main
 
 
 class TestLoadApp:
@@ -90,6 +90,35 @@ class TestAnalyzeCommand:
         assert main(["analyze", "quickstart", "--index-sensitive"]) == 0
         out = capsys.readouterr().out
         assert "racy pairs=1" in out  # no arrays in quickstart: unchanged
+
+
+class TestOutOfRangeFlags:
+    """A wall-clock budget of zero or less expires every app, an infinite
+    one crashed the scheduler, and a pool width of zero or less silently
+    meant one: argparse refuses them (exit 2) while it parses, before any
+    app runs."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value, error",
+        [
+            ("corpus-analyze", "--timeout", "-1", "must be > 0 and finite, got -1"),
+            ("corpus-analyze", "--timeout", "0", "must be > 0 and finite, got 0"),
+            ("corpus-analyze", "--timeout", "nan", "must be > 0 and finite, got nan"),
+            # an infinite deadline overflowed the scheduler's pipe wait
+            ("corpus-analyze", "--timeout", "inf", "must be > 0 and finite, got inf"),
+            ("corpus-analyze", "--shards", "0", "must be >= 1, got 0"),
+            ("corpus-analyze", "--shards", "-2", "must be >= 1, got -2"),
+            ("serve", "--job-timeout", "0", "must be > 0 and finite, got 0"),
+            # these two were refused only after the ledger had been created
+            ("serve", "--workers", "0", "must be >= 1, got 0"),
+            ("serve", "--sample-interval", "0", "must be > 0 and finite, got 0"),
+        ],
+    )
+    def test_is_a_usage_error(self, command, flag, value, error, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, flag, value])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {error}" in capsys.readouterr().err
 
 
 class TestCompareCommand:

@@ -1,4 +1,4 @@
-"""Digraph, dominators, transitive closure, topological order, SCC."""
+"""Digraph, dominators, transitive closure."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.util.graph import (
-    Digraph,
-    TransitiveClosure,
-    strongly_connected_components,
-    topological_order,
-)
+from repro.util.graph import Digraph, TransitiveClosure
 from tests.reference import NaiveTransitiveClosure
 
 
@@ -294,42 +289,6 @@ class TestTransitiveClosure:
                 if a == b:
                     continue  # self-order only via cycles; covered elsewhere
                 assert tc.ordered(a, b) == (b in g.reachable_from(a))
-
-
-class TestTopologicalOrder:
-    def test_respects_edges(self):
-        g = Digraph()
-        g.add_edge("a", "c")
-        g.add_edge("b", "c")
-        order = topological_order(g)
-        assert order.index("a") < order.index("c")
-        assert order.index("b") < order.index("c")
-
-    def test_cycle_raises(self):
-        g = chain(1, 2)
-        g.add_edge(2, 1)
-        with pytest.raises(ValueError):
-            topological_order(g)
-
-
-class TestSCC:
-    def test_acyclic_graph_singletons(self):
-        g = chain(1, 2, 3)
-        comps = strongly_connected_components(g)
-        assert sorted(len(c) for c in comps) == [1, 1, 1]
-
-    def test_cycle_grouped(self):
-        g = chain(1, 2, 3)
-        g.add_edge(3, 2)
-        comps = strongly_connected_components(g)
-        assert {2, 3} in [set(c) for c in comps]
-
-    def test_two_cycles(self):
-        g = Digraph()
-        for a, b in [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)]:
-            g.add_edge(a, b)
-        sizes = sorted(len(c) for c in strongly_connected_components(g))
-        assert sizes == [2, 2]
 
 
 class TestClosureAgainstFloydWarshall:

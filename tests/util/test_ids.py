@@ -1,26 +1,6 @@
-"""IdAllocator and name helpers."""
+"""Name helpers."""
 
-from repro.util.ids import IdAllocator, qualified_name
-
-
-class TestIdAllocator:
-    def test_fresh_is_dense_per_namespace(self):
-        alloc = IdAllocator()
-        assert [alloc.fresh("a") for _ in range(3)] == [0, 1, 2]
-        assert alloc.fresh("b") == 0
-
-    def test_id_for_is_stable(self):
-        alloc = IdAllocator()
-        first = alloc.id_for("key")
-        assert alloc.id_for("other") != first
-        assert alloc.id_for("key") == first
-
-    def test_count(self):
-        alloc = IdAllocator()
-        alloc.fresh("ns")
-        alloc.fresh("ns")
-        assert alloc.count("ns") == 2
-        assert alloc.count("empty") == 0
+from repro.util.ids import qualified_name
 
 
 def test_qualified_name():
