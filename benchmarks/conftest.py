@@ -8,47 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Sierra, SierraOptions
-from repro.corpus import TWENTY_APPS, synthesize_app, twenty_app_specs
-from repro.corpus.synth import classify_report_field
-from repro.dynamic import run_eventracer
-
-
-class TwentyAppRun:
-    """One analysed app of the 20-app dataset plus its references."""
-
-    def __init__(self, spec, paper, apk, truth, result, eventracer):
-        self.spec = spec
-        self.paper = paper
-        self.apk = apk
-        self.truth = truth
-        self.result = result
-        self.eventracer = eventracer
-
-    @property
-    def report(self):
-        return self.result.report
-
-    def true_and_fp(self):
-        true_n = sum(
-            1
-            for r in self.report.reports
-            if classify_report_field(r.field_name) == "true"
-        )
-        return true_n, len(self.report.reports) - true_n
+from tests.test_table3 import twenty_app_runs
 
 
 @pytest.fixture(scope="session")
 def twenty_runs():
-    runs = []
-    for spec, paper in zip(twenty_app_specs(), TWENTY_APPS):
-        apk, truth = synthesize_app(spec)
-        result = Sierra(SierraOptions(compare_without_as=True)).analyze(apk)
-        eventracer = run_eventracer(
-            apk, schedules=2, max_events=30, max_activities=3
-        )
-        runs.append(TwentyAppRun(spec, paper, apk, truth, result, eventracer))
-    return runs
+    return twenty_app_runs()
 
 
 def print_table(title: str, rows, paper_note: str = "") -> None:

@@ -15,41 +15,17 @@ Shape assertions (DESIGN.md):
 
 from conftest import print_table
 
-from repro.core import median
 from repro.corpus import TWENTY_PAPER_MEDIANS
+from tests.test_table3 import assert_table3_claims, table3_medians, table3_rows
 
 
 def test_table3_effectiveness(benchmark, twenty_runs):
-    def run():
-        rows = []
-        for r in twenty_runs:
-            rep = r.report
-            true_n, fp_n = r.true_and_fp()
-            rows.append(
-                {
-                    "App": r.spec.name,
-                    "Harnesses": rep.harnesses,
-                    "Actions": rep.actions,
-                    "HB Edges": rep.hb_edges,
-                    "Ordered (%)": round(100 * rep.ordered_fraction, 1),
-                    "Racy w/o AS": rep.racy_pairs_no_as,
-                    "Racy with AS": rep.racy_pairs,
-                    "After refut.": rep.races_after_refutation,
-                    "True": true_n,
-                    "FP": fp_n,
-                    "EventRacer": r.eventracer.distinct_field_count(),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        table3_rows, args=(twenty_runs,), rounds=1, iterations=1
+    )
     print_table("Table 3 — SIERRA effectiveness (20-app synthetic dataset)", rows)
 
-    med = {
-        key: median([float(row[key]) for row in rows])
-        for key in rows[0]
-        if key != "App"
-    }
+    med = table3_medians(rows)
     paper = TWENTY_PAPER_MEDIANS
     print(
         "\nmedians   measured | paper: "
@@ -65,17 +41,5 @@ def test_table3_effectiveness(benchmark, twenty_runs):
         f"eventracer {med['EventRacer']:.1f}|{paper['eventracer']}"
     )
 
-    # --- shape assertions -------------------------------------------------
-    as_reduction = med["Racy w/o AS"] / max(1.0, med["Racy with AS"])
-    print(f"action-sensitivity reduction: {as_reduction:.2f}x (paper 5.35x)")
-    assert as_reduction >= 2.0, "AS must cut racy pairs by a large factor"
-
-    refuted_share = 1 - med["After refut."] / max(1.0, med["Racy with AS"])
-    print(f"refutation share: {refuted_share:.0%} (paper 59%)")
-    assert refuted_share >= 0.25
-
-    static_vs_dynamic = med["True"] / max(1.0, med["EventRacer"])
-    print(f"static/dynamic true-race ratio: {static_vs_dynamic:.1f}x (paper 7.4x)")
-    assert static_vs_dynamic >= 2.0
-
-    assert med["FP"] <= med["True"], "reports must be mostly true races"
+    # --- shape assertions, shared with tier-1 ------------------------------
+    assert_table3_claims(med)

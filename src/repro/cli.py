@@ -627,39 +627,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return diff.gate_exit_code() if args.gate else 0
 
 
-def cmd_dashboard(args: argparse.Namespace) -> int:
-    """Render the history ledger as one self-contained HTML file."""
-    from repro.obs.dashboard import write_dashboard
-    from repro.obs.history import LedgerError, RunLedger
-
-    history = _history_path(args)
-    if not history:
-        print(
-            "dashboard: no history ledger (pass --history PATH or set "
-            "REPRO_HISTORY)",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.obs.dashboard import ledger_jobs
-
-    try:
-        with RunLedger(history) as ledger:
-            # serve-aware when the ledger doubles as a job store: embed
-            # the jobs table and any SLO alert history alongside the runs
-            write_dashboard(
-                ledger,
-                args.out,
-                title=args.title,
-                jobs=ledger_jobs(ledger),
-                alerts=ledger.alerts(limit=200),
-            )
-    except LedgerError as exc:
-        print(f"dashboard: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _resolve_cache_dir(args: argparse.Namespace, command: str) -> Optional[str]:
     import os
 
@@ -961,18 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the diff as JSON")
     add_history_flag(diff)
     diff.set_defaults(func=cmd_diff)
-
-    dashboard = sub.add_parser(
-        "dashboard",
-        help="render the run-history ledger as a single self-contained "
-        "HTML file (no external resources)",
-    )
-    dashboard.add_argument("-o", "--out", default="dashboard.html",
-                           help="output HTML path (default dashboard.html)")
-    dashboard.add_argument("--title", default="SIERRA run history",
-                           help="page title")
-    add_history_flag(dashboard)
-    dashboard.set_defaults(func=cmd_dashboard)
 
     serve = sub.add_parser(
         "serve",

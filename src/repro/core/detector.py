@@ -13,7 +13,7 @@
 and reports per-stage wall-clock timings bucketed exactly like Table 4:
 CG+PA (harness + both analysis phases), HBG, and Refutation. Each stage is
 a root :func:`repro.obs.span`, so an installed diagnostics hook (``repro
-corpus-analyze``, ``repro profile``, an operator dashboard) sees start/end
+corpus-analyze``, ``repro profile``, ``repro analyze --trace``) sees start/end
 events — and where a run died — without the detector knowing about it.
 """
 

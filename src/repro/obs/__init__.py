@@ -6,7 +6,6 @@ spans). See :mod:`repro.obs.diagnostics` (span/hook bus),
 :mod:`repro.obs.tracing` (Chrome trace-event export),
 :mod:`repro.obs.history` (append-only sqlite run ledger),
 :mod:`repro.obs.diffing` (differential run analysis / ``repro diff``),
-:mod:`repro.obs.dashboard` (self-contained HTML dashboard),
 :mod:`repro.obs.log` (structured JSON event log),
 :mod:`repro.obs.telemetry` (Prometheus exposition, ring-buffer sampler,
 SLO watchdog), and ``docs/observability.md``.
@@ -41,7 +40,7 @@ from repro.obs.diagnostics import (
 )
 
 #: submodules the analysis engine never needs: imported on first access
-_LAZY_MODULES = frozenset({"dashboard", "diffing", "history", "telemetry", "tracing"})
+_LAZY_MODULES = frozenset({"diffing", "history", "telemetry", "tracing"})
 
 #: names re-exported from a lazily imported submodule
 _LAZY_NAMES = {
@@ -83,7 +82,6 @@ __all__ = [
     "WARNING",
     "add_hook",
     "chrome_trace",
-    "dashboard",
     "diffing",
     "emit",
     "emit_degraded",

@@ -6,8 +6,8 @@ getting slower" (the diff-based reporting shape RacerD deploys at scale).
 This module is the cross-run pillar under that question: every
 ``--history``-enabled ``repro analyze`` / ``repro profile`` /
 ``repro corpus-analyze`` run and every ``repro serve`` job appends one
-run to a stdlib-``sqlite3`` ledger, and :mod:`repro.obs.diffing` /
-:mod:`repro.obs.dashboard` read it back.
+run to a stdlib-``sqlite3`` ledger, and :mod:`repro.obs.diffing` reads
+it back.
 
 Per run the ledger records:
 
@@ -19,11 +19,11 @@ Per run the ledger records:
   full metrics-registry scrape;
 * one **race row** per ranked race — keyed by the *stable race
   fingerprint* (:func:`repro.core.report.race_fingerprint`), with the
-  full report JSON (provenance included) so a dashboard can drill from
-  a fingerprint to its evidence tree without re-running the analysis.
+  full report JSON (provenance included) so ``GET /v1/runs/<ref>/report``
+  serves a fingerprint's evidence tree without re-running the analysis.
 
 The ledger is append-only by convention: nothing in this module updates
-or deletes rows, and the diff/dashboard consumers treat it as an event
+or deletes rows, and its readers treat it as an event
 log. It is also **concurrency-safe**: connections open in WAL mode with
 a busy timeout (:func:`connect_ledger`), every write is one explicit
 ``BEGIN IMMEDIATE`` transaction, and a :class:`RunLedger` instance may
@@ -413,8 +413,7 @@ class RunLedger:
 
         Written by the serve daemon's watchdog so service-health history
         lives next to analysis history: ``repro diff`` can say "between
-        these two runs the daemon fired queue_wait twice" and the
-        dashboard can plot outages on the same timeline as race counts.
+        these two runs the daemon fired queue_wait twice".
         """
         if state not in ("firing", "resolved"):
             raise ValueError(f"alert state must be firing|resolved, not {state!r}")
@@ -441,10 +440,9 @@ class RunLedger:
         self,
         since_utc: Optional[str] = None,
         until_utc: Optional[str] = None,
-        limit: int = 500,
     ) -> List[Dict[str, object]]:
-        """Alert rows oldest-first, optionally clamped to a UTC window
-        (ISO-8601 strings compare lexicographically)."""
+        """The first 500 alert rows oldest-first, optionally clamped to a
+        UTC window (ISO-8601 strings compare lexicographically)."""
         sql = "SELECT * FROM alerts"
         clauses, args = [], []  # type: List[str], List[object]
         if since_utc is not None:
@@ -455,8 +453,7 @@ class RunLedger:
             args.append(until_utc)
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY ts_utc, rowid LIMIT ?"
-        args.append(int(limit))
+        sql += " ORDER BY ts_utc, rowid LIMIT 500"
         out = []
         for row in self._query(sql, args):
             out.append(

@@ -162,10 +162,6 @@ _handler: Optional[logging.Handler] = None
 _bridge_installed = False
 
 
-def is_configured() -> bool:
-    return _handler is not None
-
-
 def get_logger(name: str = "") -> logging.Logger:
     """A logger under the ``repro`` root (``get_logger("serve.worker")``
     → ``repro.serve.worker``); plain :mod:`logging` loggers, so host

@@ -142,9 +142,6 @@ class Histogram:
         """Scrape value of a histogram: its sum (keeps totals() uniform)."""
         return self._sum
 
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
     def percentile(self, q: float) -> float:
         """Estimate the ``q``-th percentile (``0 <= q <= 100``) from the
         bucket counts.

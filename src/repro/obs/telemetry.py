@@ -12,8 +12,8 @@ JSON scrapes):
   by a fixed-interval background thread; each sample is one JSON-ready
   dict (queue depth, jobs by state, worker heartbeats, latency
   percentiles). Memory is bounded by ``capacity`` no matter how long
-  the daemon lives; ``GET /v1/telemetry`` and the dashboard's live
-  panels read :meth:`~TelemetrySampler.snapshot`;
+  the daemon lives; ``GET /v1/telemetry`` reads
+  :meth:`~TelemetrySampler.snapshot`;
 * :class:`SloWatchdog` — an evaluator of declared :class:`SloObjective`
   s over the ring buffer, run by the sampler's thread after every
   sample (``on_sample``). Each objective is a
@@ -23,13 +23,12 @@ JSON scrapes):
   a sustained breach does. Violations flip ``/healthz`` to
   ``degraded`` with the objective *named*, log structured alert
   events, and append durable rows to the ledger's ``alerts`` table so
-  ``repro diff`` and the dashboard can show *when* the service was
-  unhealthy next to *what* the analysis found.
+  ``repro diff`` can show *when* the service was unhealthy next to
+  *what* the analysis found.
 
 Percentile gaps: an empty histogram answers ``float("nan")``
 (:meth:`repro.obs.metrics.Histogram.percentile`); the sampler converts
-NaN to ``None`` so JSON consumers and the dashboard render a gap, not a
-zero-latency lie.
+NaN to ``None`` so JSON consumers see a gap, not a zero-latency lie.
 """
 
 from __future__ import annotations
@@ -91,13 +90,6 @@ def escape_help(text: str) -> str:
     """HELP-line escaping per the exposition format: backslash and
     newline only."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def escape_label_value(text: str) -> str:
-    """Label-value escaping: backslash, double-quote, newline."""
-    return (
-        text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
 
 
 def _format_value(value: float) -> str:
@@ -279,10 +271,6 @@ class TelemetrySampler:
         if limit is not None and limit >= 0:
             samples = samples[-limit:]
         return [dict(s) for s in samples]
-
-    def latest(self) -> Optional[Dict[str, object]]:
-        with self._lock:
-            return dict(self._samples[-1]) if self._samples else None
 
     def window(self, seconds: float) -> List[Dict[str, object]]:
         """Samples whose monotonic stamp falls in the last ``seconds``."""

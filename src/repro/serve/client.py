@@ -153,7 +153,3 @@ class ServeClient:
         """The daemon's ring-buffer time-series and SLO status."""
         path = "/v1/telemetry" + (f"?limit={int(limit)}" if limit else "")
         return self._request("GET", path)
-
-    def dashboard(self) -> str:
-        """The self-contained dashboard HTML."""
-        return self._get_text("/dashboard")

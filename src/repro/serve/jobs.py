@@ -281,16 +281,15 @@ class JobStore:
                 raise LedgerError(f"{self.path}: malformed job store ({exc})") from exc
         return _job_from_row(row) if row is not None else None
 
-    def jobs(self, status: Optional[str] = None, limit: int = 200) -> List[Job]:
-        """Most recent first (the shape a dashboard or ``GET /v1/jobs``
-        wants); ``status`` filters."""
+    def jobs(self, status: Optional[str] = None) -> List[Job]:
+        """The 200 most recent jobs, newest first (the shape ``GET
+        /v1/jobs`` wants); ``status`` filters."""
         sql = "SELECT * FROM jobs"
         args: List[object] = []
         if status is not None:
             sql += " WHERE status = ?"
             args.append(status)
-        sql += " ORDER BY submitted_utc DESC, rowid DESC LIMIT ?"
-        args.append(int(limit))
+        sql += " ORDER BY submitted_utc DESC, rowid DESC LIMIT 200"
         with self._lock:
             try:
                 rows = self._db.execute(sql, tuple(args)).fetchall()

@@ -16,7 +16,6 @@ Endpoints (all JSON unless noted):
 ``GET /v1/runs/<ref>/report``  the race report of one ledger run
 ``GET /v1/diff/<a>/<b>``       differential analysis between two runs
 ``GET /v1/telemetry``   the ring-buffer samples + SLO verdict (``?limit=N``)
-``GET /dashboard``      the self-contained HTML dashboard (text/html)
 ``GET /metrics``        registry scrape — JSON by default, Prometheus text
                         0.0.4 under ``Accept: text/plain`` or
                         ``?format=prometheus``
@@ -81,9 +80,6 @@ class _Handler(BaseHTTPRequestHandler):
             "application/json",
         )
 
-    def _send_html(self, code: int, html: str) -> None:
-        self._send_bytes(code, html.encode("utf-8"), "text/html; charset=utf-8")
-
     def _send_text(self, code: int, text: str, content_type: str) -> None:
         self._send_bytes(code, text.encode("utf-8"), content_type)
 
@@ -117,8 +113,8 @@ class _Handler(BaseHTTPRequestHandler):
     #: route → the per-endpoint latency histogram's label (bounded set:
     #: histograms are pre-created at daemon init, never per request)
     _ENDPOINTS = (
-        "healthz", "metrics", "telemetry", "dashboard", "jobs", "job",
-        "submit", "report", "diff", "other",
+        "healthz", "metrics", "telemetry", "jobs", "job", "submit",
+        "report", "diff", "other",
     )
 
     def _classify(self, method: str, parts) -> str:
@@ -128,8 +124,6 @@ class _Handler(BaseHTTPRequestHandler):
             return "metrics"
         if parts == ["v1", "telemetry"]:
             return "telemetry"
-        if parts == ["dashboard"]:
-            return "dashboard"
         if parts == ["v1", "jobs"]:
             return "submit" if method == "POST" else "jobs"
         if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
@@ -208,21 +202,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if parts == ["v1", "telemetry"]:
             return self._get_telemetry(url)
-        if parts == ["dashboard"]:
-            from repro.obs.dashboard import render_dashboard
-
-            return self._send_html(
-                200,
-                render_dashboard(
-                    self.daemon.ledger,
-                    title="repro serve",
-                    jobs=[
-                        j.to_dict() for j in self.daemon.store.jobs(limit=100)
-                    ],
-                    telemetry=self.daemon.telemetry_payload(),
-                    alerts=self.daemon.ledger.alerts(limit=200),
-                ),
-            )
         if parts == ["v1", "jobs"]:
             status = (parse_qs(url.query).get("status") or [None])[0]
             if status is not None and status not in (QUEUED, RUNNING, DONE, FAILED):
@@ -372,9 +351,22 @@ class ServeDaemon:
         sample_capacity: int = 600,
         slo: Optional[Dict[str, float]] = None,
     ) -> None:
-        # a platform without fork cannot run a job: refuse before the
-        # store and the ledger open their connections
-        fork_context()
+        # every refusal comes before the store and the ledger open: a
+        # refused daemon leaves no file and no connection behind
+        fork_context()  # a platform without fork cannot run a job
+        # telemetry: one thread samples into the ring buffer, then
+        # evaluates the SLO watchdog over it
+        self.sampler = TelemetrySampler(
+            self._sample, interval_s=sample_interval_s, capacity=sample_capacity
+        )
+        self.watchdog = SloWatchdog(
+            self.sampler,
+            objectives=telemetry.objectives_with_overrides(job_timeout_s, slo),
+            on_alert=self._on_alert,
+        )
+        self.sampler.on_sample = self.watchdog.evaluate_once
+        if workers < 1:
+            raise ValueError(f"worker pool needs >= 1 worker, got {workers}")
         self.history = history
         self.store = JobStore(history)
         self.ledger = RunLedger(history)
@@ -430,17 +422,6 @@ class ServeDaemon:
         self._g_uptime = metrics.gauge(
             "serve.uptime_seconds", "seconds since daemon start"
         )
-        # telemetry: one thread samples into the ring buffer, then
-        # evaluates the SLO watchdog over it
-        self.sampler = TelemetrySampler(
-            self._sample, interval_s=sample_interval_s, capacity=sample_capacity
-        )
-        self.watchdog = SloWatchdog(
-            self.sampler,
-            objectives=telemetry.objectives_with_overrides(job_timeout_s, slo),
-            on_alert=self._on_alert,
-        )
-        self.sampler.on_sample = self.watchdog.evaluate_once
 
     # -- telemetry plumbing ---------------------------------------------
     def refresh_gauges(self) -> Tuple[Dict[str, int], list]:
@@ -513,7 +494,7 @@ class ServeDaemon:
             pass  # health reporting must survive a wedged ledger
 
     def telemetry_payload(self, limit: Optional[int] = None) -> Dict[str, object]:
-        """The ``GET /v1/telemetry`` body (also embedded in the dashboard)."""
+        """The ``GET /v1/telemetry`` body."""
         return {
             "interval_s": self.sampler.interval_s,
             "capacity": self.sampler.capacity,
@@ -543,9 +524,22 @@ class ServeDaemon:
         return f"http://{host}:{port}"
 
     def start(self) -> None:
-        """Bind, requeue orphaned jobs, start workers, telemetry, HTTP."""
-        self.recovered_jobs = self.store.recover()
-        self._httpd = _Server(self._address, self)
+        """Bind, requeue orphaned jobs, start workers, telemetry, HTTP.
+
+        Recovery waits for the bind: a daemon that cannot take its port
+        (another daemon on the same ledger holds it) must not requeue
+        that daemon's running jobs. A failed start closes the socket, the
+        store and the ledger before it re-raises."""
+        try:
+            self._httpd = _Server(self._address, self)
+            self.recovered_jobs = self.store.recover()
+        except BaseException:
+            if self._httpd is not None:
+                self._httpd.server_close()
+                self._httpd = None
+            self.ledger.close()
+            self.store.close()
+            raise
         self.started_monotonic = time.monotonic()
         self.pool.start()
         self.sampler.start()

@@ -102,8 +102,6 @@ class WorkerPool:
         job_timeout_s: float = 120.0,
         poll_interval_s: float = 0.05,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"worker pool needs >= 1 worker, got {workers}")
         self._mp_context = fork_context()
         self.store = store
         self.ledger = ledger

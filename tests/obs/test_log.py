@@ -115,7 +115,6 @@ def test_exception_lands_in_the_record():
 # ----------------------------------------------------------------------
 def test_unconfigured_is_silent_no_op():
     assert obs_log.configure() is None  # nothing asked for logging
-    assert not obs_log.is_configured()
 
 
 def test_env_configures(monkeypatch):

@@ -19,7 +19,6 @@ from repro.obs.telemetry import (
     TelemetrySampler,
     default_objectives,
     escape_help,
-    escape_label_value,
     labeled_scrape,
     nan_to_none,
     objectives_with_overrides,
@@ -162,7 +161,6 @@ def test_prometheus_name_sanitization():
 
 def test_help_and_label_escaping():
     assert escape_help("a\\b\nc") == "a\\\\b\\nc"
-    assert escape_label_value('say "hi"\n\\') == 'say \\"hi\\"\\n\\\\'
     reg = MetricsRegistry()
     reg.counter("weird.help", "line one\nline \\two").inc()
     text = render_prometheus(reg)
@@ -214,7 +212,6 @@ def test_sampler_bounds_memory_and_orders_samples():
     assert [s["queue_depth"] for s in snap] == [8, 9, 10, 11, 12]
     assert snap == sorted(snap, key=lambda s: s["monotonic"])
     assert sampler.snapshot(limit=2)[-1]["queue_depth"] == 12
-    assert sampler.latest()["queue_depth"] == 12
 
 
 def test_sampler_derives_apps_per_s_rate():

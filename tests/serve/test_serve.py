@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -61,6 +63,10 @@ def test_submit_poll_fetch_roundtrip(client):
     assert final["run_id"]
     assert final["elapsed_s"] > 0
 
+    done = client.jobs(status=DONE)
+    assert job["job_id"] in [j["job_id"] for j in done]
+    assert {j["status"] for j in done} == {DONE}
+
     report = client.report(str(final["run_id"]))
     assert report["kind"] == "serve"
     assert report["meta"]["job_id"] == job["job_id"]
@@ -78,11 +84,6 @@ def test_health_and_metrics(client):
     scraped = client.metrics()
     assert "serve.requests_total" in scraped
     assert "serve.request_seconds" in scraped
-
-
-def test_dashboard_served(client):
-    html = client.dashboard()
-    assert html.lstrip().startswith("<!DOCTYPE html>" ) or "<html" in html
 
 
 def test_submit_unknown_app_is_400(client):
@@ -105,9 +106,10 @@ def test_unknown_job_is_404(client):
 
 
 def test_unknown_route_is_404(client):
-    with pytest.raises(ServeError) as err:
-        client._request("GET", "/v2/everything")
-    assert err.value.status == 404
+    for path in ("/v2/everything", "/dashboard"):
+        with pytest.raises(ServeError) as err:
+            client._request("GET", path)
+        assert err.value.status == 404, path
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +215,57 @@ def test_without_fork_the_daemon_refuses_before_opening_files(
     assert err.startswith("serve: ") and "'fork'" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"slo": {"nope": 1.0}},
+        {"sample_interval_s": 0},
+        {"sample_capacity": 1},
+        {"workers": 0},
+    ],
+    ids=["slo", "sample_interval", "sample_capacity", "workers"],
+)
+def test_a_refused_daemon_opens_no_file(tmp_path, bad):
+    """Every refusal comes before the job store and the ledger open: no
+    ledger file, WAL or shared-memory file is left behind."""
+    with pytest.raises(ValueError):
+        ServeDaemon(str(tmp_path / "runs.sqlite"), **{"port": 0, **bad})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_with_an_unknown_slo_exits_2_and_opens_no_file(tmp_path, capsys):
+    from repro.cli import main
+
+    history = str(tmp_path / "runs.sqlite")
+    args = ["serve", "--history", history, "--slo", "nope=1", "--port", "0"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("serve: unknown SLO objective 'nope'")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_daemon_that_cannot_bind_requeues_no_job(tmp_path):
+    """A second daemon on a busy port must leave the first one's running
+    job alone: requeued, it would be analyzed twice. The failed start
+    closes both of its connections."""
+    history = str(tmp_path / "runs.sqlite")
+    with JobStore(history) as store:
+        job = store.submit("quickstart")
+        assert store.claim("w0").job_id == job.job_id
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        daemon = ServeDaemon(history, workers=1, port=held.getsockname()[1])
+        with pytest.raises(OSError):
+            daemon.start()
+    assert daemon.recovered_jobs == 0
+    with JobStore(history) as store:
+        assert store.get(job.job_id).status == RUNNING
+    for conn in (daemon.store._db, daemon.ledger._db):
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
 
 
 def test_daemon_recovers_orphaned_jobs(tmp_path):

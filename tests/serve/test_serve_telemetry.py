@@ -235,35 +235,3 @@ def test_failed_job_logs_warning_with_error(daemon, client):
     ]
     assert failed["level"] == "WARNING"
     assert failed["error_type"]
-
-
-# ----------------------------------------------------------------------
-# the serve-aware dashboard
-# ----------------------------------------------------------------------
-@pytest.mark.serve_smoke
-def test_serve_dashboard_embeds_jobs_and_telemetry(daemon, client):
-    client.wait(str(client.submit("quickstart")["job_id"]), timeout_s=90)
-    html = client.dashboard()
-
-    # still one self-contained document with zero external fetches
-    assert html.count("<!DOCTYPE html>") == 1
-    stripped = html.replace("http://www.w3.org/2000/svg", "")
-    assert "http://" not in stripped and "https://" not in stripped
-    assert "<link" not in html and "<img" not in html
-    assert 'src="' not in html
-
-    start = html.index('<script type="application/json"')
-    end = html.index("</script>", start)
-    blob = html[start:end].split(">", 1)[1]
-    assert "</" not in blob  # every </ is escaped <\/
-    data = json.loads(blob.replace("<\\/", "</"))
-    assert any(j["app"] == "quickstart" and j["status"] == DONE
-               for j in data["jobs"])
-    telemetry = data["telemetry"]
-    assert telemetry["samples"], "live samples must ride in the dashboard"
-    assert telemetry["slo"]["status"] in ("ok", "degraded")
-    assert "queue_depth" in telemetry["samples"][-1]
-    # the panels that render them are present
-    for anchor in ("slo-section", "telemetry-section", "jobs-section",
-                   "queue-chart", "latency-chart", "worker-table"):
-        assert anchor in html, f"missing dashboard anchor {anchor}"

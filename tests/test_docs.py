@@ -4,12 +4,15 @@ Every inline-code dotted name in the user docs that starts with
 ``repro.``, ``obs.``, ``metrics.`` or ``profile.`` (the last three read
 as ``repro.obs.*``) must import and resolve attribute by attribute, and
 every ``tests/<path>.py::Name`` reference must point at a file that
-defines that ``def`` or ``class``. A rename or a deletion that leaves a
-doc behind fails here instead of misleading the next reader.
+defines that ``def`` or ``class``, and every ``repro <command>`` in inline
+code or in a fenced command line must name a subcommand of
+:func:`repro.cli.build_parser`. A rename or a deletion that leaves a doc
+behind fails here instead of misleading the next reader.
 """
 
 from __future__ import annotations
 
+import argparse
 import glob
 import importlib
 import os
@@ -36,6 +39,14 @@ _PREFIX = {
     "profile": "repro.obs.profile",
 }
 _TEST_REF = re.compile(r"(tests/[\w/]+\.py)((?:::\w+)+)")
+#: ``repro COMMAND`` as a shell word (``python -m repro COMMAND``, ``$
+#: repro COMMAND``), after the global ``--log-level LEVEL``/``--log-json``
+_COMMAND = re.compile(
+    r"(?:^|(?<=[\s(]))repro\s+(?:(?:--log-level\s+\S+|--log-json)\s+)*([\w-]+)",
+    re.M,
+)
+#: Python imports in fenced examples read like a command to _COMMAND
+_PYTHON_IMPORT = re.compile(r"^\s*from repro import .*$", re.M)
 
 
 def _read(path: str) -> str:
@@ -66,6 +77,36 @@ def _test_refs():
     return sorted(found)
 
 
+def _commands():
+    """``(doc, subcommand)`` for every ``repro`` command line: inline code
+    spans, and fenced lines with their ``\\`` continuations joined."""
+    found = set()
+    for path in DOCS:
+        if not os.path.exists(path):
+            continue
+        text = _read(path)
+        spans = _INLINE_CODE.findall(_FENCE.sub("", text))
+        blocks = [
+            _PYTHON_IMPORT.sub("", block.replace("\\\n", " "))
+            for block in _FENCE.findall(text)
+        ]
+        for code in spans + blocks:
+            for name in _COMMAND.findall(code):
+                found.add((os.path.relpath(path, ROOT), name))
+    return sorted(found)
+
+
+def _subcommands():
+    from repro.cli import build_parser
+
+    (action,) = [
+        a
+        for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return set(action.choices)
+
+
 def _resolve(dotted: str) -> object:
     """Import the longest importable prefix, then getattr the rest."""
     parts = dotted.split(".")
@@ -84,6 +125,7 @@ def test_the_scan_finds_references():
     # a scanner that silently matched nothing would pass every doc
     assert len(_dotted_names()) >= 20
     assert len(_test_refs()) >= 10
+    assert len(_commands()) >= 30
 
 
 def test_every_dotted_name_resolves():
@@ -105,3 +147,13 @@ def test_every_test_reference_is_defined():
             if not re.search(rf"^\s*(?:def|class)\s+{name}\b", source, re.M):
                 missing.append(f"{doc}: {file}{names} ({name!r} not defined)")
     assert missing == [], "docs cite tests that do not exist:\n" + "\n".join(missing)
+
+
+def test_every_command_names_a_subcommand():
+    known = _subcommands()
+    unknown = [
+        f"{doc}: `repro {name}`" for doc, name in _commands() if name not in known
+    ]
+    assert unknown == [], "docs run repro subcommands that do not exist:\n" + (
+        "\n".join(unknown)
+    )

@@ -1,8 +1,8 @@
 """What each entry point imports.
 
-``repro analyze`` loads only the analysis engine: the ledger, dashboard,
-telemetry, corpus batch driver, serve daemon, substrate store and the
-process-pool machinery stay unimported until a command needs them; with
+``repro analyze`` loads only the analysis engine: the ledger, telemetry,
+corpus batch driver, serve daemon, substrate store and the process-pool
+machinery stay unimported until a command needs them; with
 ``--cache`` it loads the substrate store, and still not ``sqlite3``. Every
 public name still resolves, through the packages' module-level
 ``__getattr__``. Processes that fork analysis children import, before
@@ -26,7 +26,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 #: never imported by a plain ``repro analyze`` (no --history/--cache/--trace)
 NOT_FOR_ANALYZE = (
-    "repro.obs.dashboard",
     "repro.obs.diffing",
     "repro.obs.history",
     "repro.obs.telemetry",
